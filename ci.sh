@@ -25,8 +25,10 @@ go test -race ./internal/sched/... ./internal/trace/... ./internal/tracex/... ./
 
 # Native backend: every registered object on real goroutines under the
 # race detector — 32-wide stress with conservation-law oracles plus the
-# black-box differential tests against the Wing-Gong engine.
-go test -race -short ./internal/native/...
+# black-box differential tests against the Wing-Gong engine — and the
+# Figure 8 software CCAS, whose GuardedCAS window runs straight on real
+# goroutines.
+go test -race -short ./internal/native/... ./internal/prim/...
 
 # Service subsystem: hot-key counter and token-bucket limiter, all four
 # store variants on real goroutines under the race detector, with the
@@ -150,6 +152,11 @@ grep -q "schedules total" artifacts/wfcheck_swarm.txt
 # priority-fcfs), and declined for the preemptive off-default ones (which
 # fall back to the serial loop the differential suite pins).
 go test ./internal/sched/ -run TestRunAheadPolicyGate -count=1
+
+# Native allocation gate: every core object's Begin/Apply/End hot path on
+# real goroutines must allocate nothing (the Figure 8 window is one
+# Ctx.GuardedCAS call, not a closure).
+go test ./internal/registry/ -run TestNativeAllocGate -count=1
 
 # Perf gates: -exp core re-measures the serial and run-ahead simulator
 # core (asserting the two modes still agree exactly) and fails if

@@ -101,6 +101,11 @@ type Object struct {
 	b      int
 	status shmem.Addr // Status: array[0..N-1] of integer
 	save   shmem.Addr // Save: array[0..N-1, 0..B-1] of valtype
+
+	// Private per-process state of MWCAS (init and assn in Figure 3),
+	// laid out like Save: process p owns [p*B, (p+1)*B).
+	init []Word
+	assn []uint64
 }
 
 // New allocates an MWCAS object for n processes with width limit b.
@@ -119,7 +124,10 @@ func New(m shmem.Memory, n, b int) (*Object, error) {
 	if err != nil {
 		return nil, fmt.Errorf("unimwcas: %w", err)
 	}
-	return &Object{mem: m, n: n, b: b, status: status, save: save}, nil
+	return &Object{
+		mem: m, n: n, b: b, status: status, save: save,
+		init: make([]Word, n*b), assn: make([]uint64, n*b),
+	}, nil
 }
 
 // InitWord initializes a word for use with this object (setup time): value
@@ -160,8 +168,8 @@ func (o *Object) MWCAS(e shmem.Ctx, addrs []shmem.Addr, old, new []uint32) bool 
 	p := e.Slot()
 	o.checkArgs(p, addrs, old, new)
 	numwds := len(addrs)
-	init := make([]Word, numwds) // private: values initially read
-	assn := make([]uint64, numwds)
+	init := o.init[p*o.b : p*o.b+numwds] // private: values initially read
+	assn := o.assn[p*o.b : p*o.b+numwds]
 
 	e.Store(o.StatusAddr(p), StatusPending)                      // line 1
 	i := 0                                                       // line 2

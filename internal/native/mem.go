@@ -13,8 +13,8 @@
 //     turning each one into a "processor" in the paper's sense.
 //   - CCAS. Hardware has no CCAS (the premise of Figure 8), so the backend
 //     refuses prim.Native and runs the software constructions from
-//     internal/prim; Tagged's no-preemption window maps to the shard's
-//     NoPreempt.
+//     internal/prim; their no-preemption window is Proc.GuardedCAS, which
+//     masks the shard's preemption check for one Load and one CAS.
 //   - CAS2. Hardware has no double-word CAS either; Mem emulates it behind a
 //     guard word (see CAS2 below). The emulation is honest about what it is:
 //     a tiny lock, not a lock-free primitive — which is itself the paper's
@@ -36,8 +36,8 @@ import (
 type Mem struct {
 	words []uint64
 	next  int
-	// regions records allocations newest-first for Name, mirroring the
-	// simulated memory's debug naming.
+	// regions records allocations oldest-first (in address order) for
+	// Name, mirroring the simulated memory's debug naming.
 	regions []region
 	// guard serializes CAS2 emulation (see CAS2).
 	guard atomic.Uint32

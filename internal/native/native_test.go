@@ -1,6 +1,7 @@
 package native
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
@@ -199,6 +200,57 @@ func TestShardNoPreemptMasksPreemption(t *testing.T) {
 	close(highDone)
 	if witness == 1 {
 		t.Fatal("high-priority process ran inside the low process's NoPreempt section")
+	}
+}
+
+// TestGuardedCASMasksPreemption: a higher-priority waiter queued before the
+// window opens must not run between GuardedCAS's version load and its CAS —
+// it would move both words and fail the CAS — and must run right after the
+// window closes, before GuardedCAS returns.
+func TestGuardedCASMasksPreemption(t *testing.T) {
+	m := NewMem(8)
+	v := m.MustAlloc("V", 1)
+	x := m.MustAlloc("X", 1)
+	w := NewWorld(m, 1)
+	low := w.NewProc(0, 0, 1)
+	high := w.NewProc(1, 0, 9)
+
+	low.Begin()
+	highRan := make(chan struct{}) // closed inside high's shard tenure
+	highDone := make(chan struct{})
+	go func() {
+		high.Begin()
+		high.Store(v, 1)
+		high.Store(x, 99)
+		close(highRan)
+		high.End()
+		close(highDone)
+	}()
+	// Wait until high is queued and the preemption flag is up: every
+	// preemption point low crosses from here on must hand the shard over.
+	for !low.shard.wanted.Load() {
+		runtime.Gosched()
+	}
+	ok := low.GuardedCAS(v, 0, x, 0, 7)
+	handedOff := false
+	select {
+	case <-highRan:
+		handedOff = true
+	default:
+	}
+	low.End()
+	<-highDone
+	if !ok {
+		t.Fatal("GuardedCAS failed: the high-priority waiter ran inside the window")
+	}
+	if !handedOff {
+		t.Fatal("GuardedCAS returned before handing the shard to the waiting higher priority")
+	}
+	if got := m.Peek(x); got != 99 {
+		t.Fatalf("X = %d, want 99 (high's store after the window)", got)
+	}
+	if low.Counts.Loads != 1 || low.Counts.CAS != 1 {
+		t.Fatalf("GuardedCAS counted %d loads and %d CAS, want 1 and 1", low.Counts.Loads, low.Counts.CAS)
 	}
 }
 

@@ -398,9 +398,21 @@ func (p *Proc) CCASNative(v shmem.Addr, ver uint64, x shmem.Addr, old, val uint6
 	panic("native: CCAS is not a hardware primitive (the Figure 8 premise); use the software constructions in internal/prim (Tagged or Delayed)")
 }
 
+// GuardedCAS is the Figure 8 software-CCAS window (shmem.Ctx): with shard
+// preemption masked, Load(v) and, iff it equals ver, CAS(x, old, val); the
+// deferred handoff, if a waiter outranks this process, happens right after
+// the window closes. No closure, so the hot path does not allocate.
+func (p *Proc) GuardedCAS(v shmem.Addr, ver uint64, x shmem.Addr, old, val uint64) bool {
+	p.noPreempt++
+	ok := p.Load(v) == ver && p.CAS(x, old, val)
+	p.noPreempt--
+	p.point()
+	return ok
+}
+
 // NoPreempt runs f with shard preemption masked, the native realization of
-// the paper's "executed without preemption" sections (Figure 8(b)).
-// Processes on other shards still interleave with f's memory operations.
+// the paper's "executed without preemption" sections. Processes on other
+// shards still interleave with f's memory operations.
 func (p *Proc) NoPreempt(f func()) {
 	p.noPreempt++
 	defer func() {

@@ -11,6 +11,10 @@
 //     passes between any increment of the version word and a subsequent
 //     CCAS that modifies the target.
 //
+// Both software constructions run their non-preemptible window ("if *V ==
+// ver then CAS(X)") as one shmem.Ctx.GuardedCAS call, so a CCAS builds no
+// closure and allocates nothing on either backend.
+//
 // The multiprocessor MWCAS and linked-list algorithms are written against
 // the Impl interface, so every experiment can run with any of the three;
 // tests cross-check that they are observationally equivalent.
@@ -113,18 +117,11 @@ func (Tagged) Exec(e shmem.Ctx, v shmem.Addr, ver uint64, x shmem.Addr, old, val
 	if raw&logicalMask != old {
 		return false // line 2
 	}
-	ok := false
 	// Lines 3-4: "executed without preemption" — locally only. Other
 	// processors interleave freely; the counter field is what defends
 	// against their interference (including ABA on the logical value).
-	e.NoPreempt(func() {
-		if e.Load(v) != ver { // line 3
-			return
-		}
-		next := (val & logicalMask) | (raw&^logicalMask + tagIncrement)
-		ok = e.CAS(x, raw, next) // line 4
-	})
-	return ok
+	next := (val & logicalMask) | (raw&^logicalMask + tagIncrement)
+	return e.GuardedCAS(v, ver, x, raw, next)
 }
 
 // Read implements Impl.
@@ -177,15 +174,8 @@ func (d Delayed) Exec(e shmem.Ctx, v shmem.Addr, ver uint64, x shmem.Addr, old, 
 	if e.Load(x) != old { // line 1
 		return false
 	}
-	ok := false
 	// Lines 2-3 inside double angle brackets: without local preemption.
-	e.NoPreempt(func() {
-		if e.Load(v) != ver { // line 2
-			return
-		}
-		ok = e.CAS(x, old, val) // line 3
-	})
-	return ok
+	return e.GuardedCAS(v, ver, x, old, val)
 }
 
 // Read implements Impl.

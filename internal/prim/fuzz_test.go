@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/sched"
+	"repro/internal/shmem"
 )
 
 // FuzzCCASTape drives every Figure 8 CCAS construction through an
@@ -96,50 +97,70 @@ func FuzzCCASTape(f *testing.F) {
 // value must equal the total success count — the same conservation law the
 // native stress suite uses, here applied to the primitive itself.
 func FuzzCCASChain(f *testing.F) {
-	f.Add([]byte("\x00\x03\x07"))
-	f.Add([]byte("\x01\x00\x10\x20\x05"))
-	f.Add([]byte("\xff\x0f\x00\x08"))
+	for _, seed := range chainSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
-		byteAt := func(i int) int64 { return int64(data[i%len(data)]) }
 		for _, impl := range All() {
-			impl := impl
-			s := sched.New(sched.Config{Processors: 1, Seed: 1 + byteAt(0), MemWords: 256})
-			m := s.Mem()
-			v := m.MustAlloc("V", 1)
-			x := m.MustAlloc("X", 1)
-			m.Poke(v, 0)
-			impl.InitWord(m, x, 0)
-			wins := make([]uint64, 3)
-			for p := 0; p < 3; p++ {
-				p := p
-				attempts := 2 + int(byteAt(p+1)%6)
-				release := byteAt(p+4) % 32
-				advanceEvery := 1 + int(byteAt(p+7)%4)
-				s.SpawnAt(release, 0, sched.Priority(1+2*p), "chain", func(e *sched.Env) {
-					for n := 0; n < attempts; n++ {
-						old := impl.Read(e, x)
-						ver := e.Load(v)
-						if impl.Exec(e, v, ver, x, old, old+1) {
-							wins[p]++
-						}
-						if n%advanceEvery == 0 {
-							if cur := e.Load(v); e.CAS(v, cur, cur+1) {
-								AfterAdvance(impl, e)
-							}
-						}
-					}
-				})
-			}
+			s, x, wins := chainSim(impl, data, sched.Config{})
 			if err := s.Run(); err != nil {
 				t.Fatalf("%s: Run: %v", impl.Name(), err)
 			}
 			total := wins[0] + wins[1] + wins[2]
-			if got := impl.Logical(m.Peek(x)); got != total {
+			if got := impl.Logical(s.Mem().Peek(x)); got != total {
 				t.Fatalf("%s: final X = %d, want total successes %d (wins %v)", impl.Name(), got, total, wins)
 			}
 		}
 	})
+}
+
+// chainSeeds are FuzzCCASChain's in-code seeds (testdata/fuzz holds more).
+var chainSeeds = [][]byte{
+	[]byte("\x00\x03\x07"),
+	[]byte("\x01\x00\x10\x20\x05"),
+	[]byte("\xff\x0f\x00\x08"),
+}
+
+// chainSim builds, but does not run, the FuzzCCASChain cast for data (at
+// least 3 bytes) on a one-processor simulation; cfg supplies the optional
+// knobs (tracing, run-ahead). x is the shared word; wins[p] counts process
+// p's successful CCASes once the run finishes.
+func chainSim(impl Impl, data []byte, cfg sched.Config) (s *sched.Sim, x shmem.Addr, wins []uint64) {
+	byteAt := func(i int) int64 { return int64(data[i%len(data)]) }
+	cfg.Processors, cfg.Seed, cfg.MemWords = 1, 1+byteAt(0), 256
+	s = sched.New(cfg)
+	m := s.Mem()
+	v := m.MustAlloc("V", 1)
+	x = m.MustAlloc("X", 1)
+	m.Poke(v, 0)
+	impl.InitWord(m, x, 0)
+	wins = make([]uint64, 3)
+	adv := impl
+	if ref, ok := impl.(closureDelayed); ok {
+		adv = ref.Delayed // AfterAdvance keys off the Delayed type
+	}
+	for p := 0; p < 3; p++ {
+		p := p
+		attempts := 2 + int(byteAt(p+1)%6)
+		release := byteAt(p+4) % 32
+		advanceEvery := 1 + int(byteAt(p+7)%4)
+		s.SpawnAt(release, 0, sched.Priority(1+2*p), "chain", func(e *sched.Env) {
+			for n := 0; n < attempts; n++ {
+				old := impl.Read(e, x)
+				ver := e.Load(v)
+				if impl.Exec(e, v, ver, x, old, old+1) {
+					wins[p]++
+				}
+				if n%advanceEvery == 0 {
+					if cur := e.Load(v); e.CAS(v, cur, cur+1) {
+						AfterAdvance(adv, e)
+					}
+				}
+			}
+		})
+	}
+	return s, x, wins
 }

@@ -46,10 +46,7 @@ func genOne(kind ModelKind, cfg Config, rng *rand.Rand, slot, i int) Op {
 		}
 		return Op{Code: OpPush, Val: uint64(1000*(slot+1) + i + 1)}
 	case ModelWords:
-		words := cfg.Words
-		if words < 1 {
-			words = 1
-		}
+		words := appWords(cfg)
 		width := cfg.Width
 		if width > words {
 			width = words
@@ -65,6 +62,31 @@ func genOne(kind ModelKind, cfg Config, rng *rand.Rand, slot, i int) Op {
 		return Op{Code: OpMWCAS, Words: idx, Delta: uint64(1 + rng.Intn(5))}
 	}
 	panic("registry: op generation for unknown model kind")
+}
+
+// appWords is the number of application words a ModelWords object built
+// with cfg holds: cfg.Words, or one word when it is unset (Normalize applies
+// the same default, so generated indices always fit the built instance).
+func appWords(cfg Config) int {
+	if cfg.Words < 1 {
+		return 1
+	}
+	return cfg.Words
+}
+
+// wordsInRange reports whether every index of an OpMWCAS is a valid word of
+// an n-word instance; Apply rejects other transactions (OK=false) instead of
+// indexing out of range.
+func wordsInRange(idx []int, n int) bool {
+	if len(idx) == 0 {
+		return false
+	}
+	for _, i := range idx {
+		if i < 0 || i >= n {
+			return false
+		}
+	}
+	return true
 }
 
 func sortInts(a []int) {

@@ -36,7 +36,7 @@ func (d *Descriptor) NewModel(cfg Config) Model {
 	case ModelLIFO:
 		return &lifoModel{}
 	case ModelWords:
-		words := make([]uint64, cfg.Words)
+		words := make([]uint64, appWords(cfg))
 		copy(words, cfg.Initial)
 		return &wordsModel{words: words}
 	}
@@ -182,6 +182,9 @@ func (m *wordsModel) Hash() uint64 {
 func (m *wordsModel) Apply(op Op) Result {
 	if op.Code != OpMWCAS {
 		panic("registry: words model got " + op.Code.String())
+	}
+	if !wordsInRange(op.Words, len(m.words)) {
+		return Result{}
 	}
 	var first uint64
 	for i, w := range op.Words {

@@ -374,6 +374,9 @@ func init() {
 				if op.Code != OpMWCAS {
 					panic("registry: unimwcas got " + op.Code.String())
 				}
+				if !wordsInRange(op.Words, len(words)) {
+					return Result{}
+				}
 				sc := &scratch[slot]
 				if cap(sc.addrs) < len(op.Words) {
 					sc.addrs = make([]shmem.Addr, len(op.Words))
@@ -654,6 +657,9 @@ func init() {
 			in.apply = func(e shmem.Ctx, slot int, op Op) Result {
 				if op.Code != OpMWCAS {
 					panic("registry: multimwcas got " + op.Code.String())
+				}
+				if !wordsInRange(op.Words, len(words)) {
+					return Result{}
 				}
 				sc := &scratch[slot]
 				if cap(sc.addrs) < len(op.Words) {

@@ -212,7 +212,8 @@ var ErrProcConfig = errors.New("invalid Processors/Procs configuration")
 // Instance is a constructed object answering the registry op model.
 type Instance interface {
 	// Apply performs one operation as process slot. With Config.Check it
-	// also drives the linearizability checker.
+	// also drives the linearizability checker. An OpMWCAS naming no word,
+	// or a word outside the instance, is rejected (OK=false) untouched.
 	Apply(e shmem.Ctx, slot int, op Op) Result
 	// Snapshot returns the canonical quiescent state (sorted keys, queue
 	// front-to-back, stack top-down, MWCAS word values).
@@ -337,6 +338,12 @@ func (d *Descriptor) Normalize(b Backend, cfg *Config) error {
 	}
 	if cfg.Width == 0 {
 		cfg.Width = 4
+	}
+	if d.Model == ModelWords {
+		if cfg.Words < 0 {
+			return fmt.Errorf("%s: Words=%d (need Words >= 1, or 0 for the default)", d.Name, cfg.Words)
+		}
+		cfg.Words = appWords(*cfg)
 	}
 	switch d.Family {
 	case FamilyUni:

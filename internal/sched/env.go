@@ -138,6 +138,19 @@ func (e *Env) NoPreempt(f func()) {
 	f()
 }
 
+// GuardedCAS is the Figure 8 software-CCAS window (shmem.Ctx): with local
+// preemption masked, Load(v) and, iff it equals ver, CAS(x, old, val). It
+// charges the same time and hits the same preemption points as running
+// those two operations under NoPreempt.
+func (e *Env) GuardedCAS(v shmem.Addr, ver uint64, x shmem.Addr, old, val uint64) bool {
+	e.noPreempt++
+	defer func() { e.noPreempt-- }()
+	if e.Load(v) != ver {
+		return false
+	}
+	return e.CAS(x, old, val)
+}
+
 // Load reads word a. One time unit; a preemption point in Fine granularity.
 func (e *Env) Load(a shmem.Addr) uint64 {
 	v := e.sim.mem.Load(a)

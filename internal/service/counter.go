@@ -33,7 +33,12 @@ func newCounter(b registry.Backend, cfg StoreConfig) (Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &lockCounter{cfg: cfg, mem: mem, lock: lock, base: words}, nil
+		s := &lockCounter{cfg: cfg, mem: mem, base: words, cs: make([]counterSection, cfg.Slots)}
+		for i := range s.cs {
+			c := &s.cs[i]
+			c.lock, c.run = lock, c.critical
+		}
+		return s, nil
 	case Sharded:
 		mem := b.Memory()
 		base, err := mem.Alloc("svc.counter.stripes", cfg.Slots*cfg.Keys)
@@ -139,8 +144,29 @@ func (s *atomicCounter) Totals() []uint64 {
 type lockCounter struct {
 	cfg  StoreConfig
 	mem  shmem.Memory
-	lock shmem.Addr
 	base shmem.Addr
+	cs   []counterSection // per slot
+}
+
+// counterSection is one slot's critical section, bound to its func value
+// once at NewStore so a lock attempt hands NoPreempt an existing func and
+// allocates nothing. Apply sets the inputs (e, a, delta); run reports
+// through done whether it took the lock.
+type counterSection struct {
+	e     Ctx
+	lock  shmem.Addr
+	a     shmem.Addr
+	delta uint64
+	done  bool
+	run   func()
+}
+
+func (c *counterSection) critical() {
+	c.done = c.e.CAS(c.lock, 0, 1)
+	if c.done {
+		c.e.Store(c.a, c.e.Load(c.a)+c.delta)
+		c.e.Store(c.lock, 0)
+	}
 }
 
 func (s *lockCounter) Kind() Kind       { return Counter }
@@ -148,17 +174,11 @@ func (s *lockCounter) Variant() Variant { return Lock }
 func (s *lockCounter) Flush(Ctx, int)   {}
 
 func (s *lockCounter) Apply(e Ctx, slot int, r Req) Resp {
-	a := s.base + shmem.Addr(r.Key)
+	c := &s.cs[slot]
+	c.e, c.a, c.delta = e, s.base+shmem.Addr(r.Key), r.Delta
 	for spins := 0; ; spins++ {
-		done := false
-		e.NoPreempt(func() {
-			if e.CAS(s.lock, 0, 1) {
-				e.Store(a, e.Load(a)+r.Delta)
-				e.Store(s.lock, 0)
-				done = true
-			}
-		})
-		if done {
+		e.NoPreempt(c.run)
+		if c.done {
 			return Resp{Applied: true, Retries: spins}
 		}
 		e.Yield()

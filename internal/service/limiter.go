@@ -89,7 +89,12 @@ func newLimiter(b registry.Backend, cfg StoreConfig) (Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &lockLimiter{cfg: cfg, lock: lock, base: base, tally: newTally(cfg.Slots, cfg.Tenants)}
+		s := &lockLimiter{cfg: cfg, base: base, tally: newTally(cfg.Slots, cfg.Tenants),
+			cs: make([]limiterSection, cfg.Slots)}
+		for i := range s.cs {
+			c := &s.cs[i]
+			c.lock, c.budget, c.run = lock, uint64(cfg.Budget), c.critical
+		}
 		seedBuckets(mem, base, cfg)
 		return s, nil
 	case Sharded:
@@ -220,9 +225,34 @@ func (s *atomicLimiter) Apply(e Ctx, slot int, r Req) Resp {
 // runs the transition with plain loads and stores.
 type lockLimiter struct {
 	cfg  StoreConfig
-	lock shmem.Addr
 	base shmem.Addr
+	cs   []limiterSection // per slot
 	tally
+}
+
+// limiterSection is one slot's critical section, bound once at NewStore
+// as counterSection is. Apply sets (e, a, window); run reports whether it
+// took the lock (done) and the verdict (admit).
+type limiterSection struct {
+	e           Ctx
+	lock        shmem.Addr
+	a           shmem.Addr
+	window      uint64
+	budget      uint64
+	done, admit bool
+	run         func()
+}
+
+func (c *limiterSection) critical() {
+	c.done, c.admit = c.e.CAS(c.lock, 0, 1), false
+	if c.done {
+		next, write, adm := limiterStep(c.e.Load(c.a), c.window, c.budget)
+		if write {
+			c.e.Store(c.a, next)
+		}
+		c.e.Store(c.lock, 0)
+		c.admit = adm
+	}
 }
 
 func (s *lockLimiter) Kind() Kind       { return Limiter }
@@ -231,25 +261,15 @@ func (s *lockLimiter) Flush(Ctx, int)   {}
 func (s *lockLimiter) Totals() []uint64 { return s.sum(s.cfg.Tenants) }
 
 func (s *lockLimiter) Apply(e Ctx, slot int, r Req) Resp {
-	a := s.base + shmem.Addr(r.Tenant)
+	c := &s.cs[slot]
+	c.e, c.a, c.window = e, s.base+shmem.Addr(r.Tenant), r.Window
 	for spins := 0; ; spins++ {
-		done, admit := false, false
-		e.NoPreempt(func() {
-			if e.CAS(s.lock, 0, 1) {
-				cur := e.Load(a)
-				next, write, adm := limiterStep(cur, r.Window, uint64(s.cfg.Budget))
-				if write {
-					e.Store(a, next)
-				}
-				e.Store(s.lock, 0)
-				done, admit = true, adm
-			}
-		})
-		if done {
-			if admit {
+		e.NoPreempt(c.run)
+		if c.done {
+			if c.admit {
 				s.admitted[slot][r.Tenant]++
 			}
-			return Resp{Applied: true, Admitted: admit, Retries: spins}
+			return Resp{Applied: true, Admitted: c.admit, Retries: spins}
 		}
 		e.Yield()
 	}

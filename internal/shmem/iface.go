@@ -78,9 +78,19 @@ type Ctx interface {
 	// panics, steering callers to the software constructions in
 	// internal/prim.
 	CCASNative(v Addr, ver uint64, x Addr, old, val uint64) bool
+	// GuardedCAS is the one non-preemptible window of the software CCAS
+	// constructions (Figure 8(b) lines 3–4, Figure 8(c) lines 2–3): with
+	// preemption disabled on this processor it loads v and, only if that
+	// equals ver, performs CAS(x, old, val). It costs exactly one Load plus
+	// one CAS when the CAS is reached, and is a preemption point once the
+	// window closes. Other processors still interleave between the two
+	// operations. internal/prim's Tagged and Delayed are built on it.
+	GuardedCAS(v Addr, ver uint64, x Addr, old, val uint64) bool
 	// NoPreempt runs f with preemption disabled on this processor (the
-	// paper's double-angle-bracket sections, Figure 8(b)). Other
-	// processors still interleave with f's memory operations.
+	// paper's double-angle-bracket sections). Other processors still
+	// interleave with f's memory operations. The Figure 8 constructions use
+	// GuardedCAS instead; NoPreempt serves multi-operation critical
+	// sections (the service layer's spinlock variants).
 	NoPreempt(f func())
 	// Yield is an explicit preemption point with no memory operation.
 	Yield()
