@@ -1,661 +1,43 @@
 package waitfree_test
 
-// Benchmark harness: one benchmark per table/figure of the paper (see
-// DESIGN.md's per-experiment index). Wall-clock ns/op measures the
-// *simulator*, which is not the quantity the paper reports; the virtual-time
-// metrics emitted via b.ReportMetric are the reproduction targets:
-//
-//	vsteps/op      — virtual time per operation (worst case where noted)
-//	vtotal         — virtual makespan of the workload
-//	worst_retries  — worst-case retry count of a lock-free run
-//
-// cmd/wfbench runs the same experiments at the paper's full scale and prints
-// the comparison tables.
-
 import (
 	"fmt"
+	"strings"
 	"testing"
 
-	waitfree "repro"
-	"repro/internal/arena"
-	"repro/internal/baseline/gclist"
-	"repro/internal/baseline/herlihy"
-	"repro/internal/baseline/valois"
-	"repro/internal/core/multihash"
-	"repro/internal/core/multilist"
-	"repro/internal/core/multimwcas"
-	"repro/internal/core/unilist"
-	"repro/internal/core/unimwcas"
-	"repro/internal/core/uniqueue"
-	"repro/internal/core/unistack"
-	"repro/internal/helping"
-	"repro/internal/prim"
-	"repro/internal/sched"
-	"repro/internal/shmem"
+	"repro/internal/paper"
 )
 
-// BenchmarkFig1UniMWCAS regenerates Figure 1 row 1: uniprocessor MWCAS in
-// Θ(W) time using CAS only. vsteps/op must grow linearly with W.
-func BenchmarkFig1UniMWCAS(b *testing.B) {
-	for _, w := range []int{2, 4, 8, 16, 32} {
-		w := w
-		b.Run(fmt.Sprintf("W=%d", w), func(b *testing.B) {
-			var virtual int64
+// BenchmarkPaper runs every entry of the paper's experiment table
+// (internal/paper, indexed in DESIGN.md) at the reduced scale of
+// TestPaperBands; `wfbench -exp paper` runs it at the paper's 50,000
+// operations. Wall-clock ns/op measures the simulator, which is not what
+// the paper reports: the reproduction targets are the row values, reported
+// as one metric per cell named [table index/]row label/column.
+func BenchmarkPaper(b *testing.B) {
+	for _, ex := range paper.Experiments {
+		b.Run(ex.ID, func(b *testing.B) {
+			var r paper.Result
 			for i := 0; i < b.N; i++ {
-				s := sched.New(sched.Config{Processors: 1, Seed: int64(i), MemWords: 1 << 12})
-				obj, err := unimwcas.New(s.Mem(), 2, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				base := s.Mem().MustAlloc("app", w)
-				addrs := make([]shmem.Addr, w)
-				old := make([]uint32, w)
-				next := make([]uint32, w)
-				for j := range addrs {
-					addrs[j] = base + shmem.Addr(j)
-					obj.InitWord(addrs[j], 0)
-					next[j] = 1
-				}
-				s.SpawnAt(0, 0, 1, "p", func(e *sched.Env) {
-					start := e.Now()
-					obj.MWCAS(e, addrs, old, next)
-					virtual += e.Now() - start
-				})
-				if err := s.Run(); err != nil {
+				var err error
+				if r, err = ex.Measure(paper.Scale{Ops: 3000, Procs: 4, Seed: 11}); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(virtual)/float64(b.N), "vsteps/op")
-		})
-	}
-}
-
-// BenchmarkFig1UniList regenerates Figure 1 row 2: uniprocessor list in
-// Θ(2T); vsteps/op grows linearly with list size, and the helped
-// (preempted) case costs at most ~2x the scan.
-func BenchmarkFig1UniList(b *testing.B) {
-	for _, size := range []int{50, 100, 200, 400, 800} {
-		size := size
-		b.Run(fmt.Sprintf("T=%d", size), func(b *testing.B) {
-			var virtual int64
-			for i := 0; i < b.N; i++ {
-				s := sched.New(sched.Config{Processors: 1, Seed: int64(i), MemWords: 1 << 16})
-				ar, err := arena.New(s.Mem(), size+16, 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				l, err := unilist.New(s.Mem(), ar, 2)
-				if err != nil {
-					b.Fatal(err)
-				}
-				keys := make([]uint64, size)
-				for j := range keys {
-					keys[j] = uint64(10 * (j + 1))
-				}
-				if err := l.SeedAscending(keys); err != nil {
-					b.Fatal(err)
-				}
-				ar.Freeze()
-				var worst int64
-				s.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
-					start := e.Now()
-					l.Insert(e, uint64(10*size+5), 0)
-					worst = e.Now() - start
-				}})
-				// A preemptor mid-scan forces one round of helping.
-				s.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 9, Slot: 1, AfterSlices: int64(size), Body: func(e *sched.Env) {
-					l.Search(e, uint64(10*size+5))
-				}})
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				virtual += worst
+			if r.Band != "pass" {
+				b.Error(r.Band)
 			}
-			b.ReportMetric(float64(virtual)/float64(b.N), "vsteps/op")
-		})
-	}
-}
-
-// BenchmarkFig1MultiMWCAS regenerates Figure 1 row 3: multiprocessor MWCAS
-// in Θ(2PW); the worst concurrent-operation response scales with P and W.
-func BenchmarkFig1MultiMWCAS(b *testing.B) {
-	for _, pw := range []struct{ p, w int }{{2, 4}, {4, 4}, {8, 4}, {4, 8}, {4, 16}} {
-		pw := pw
-		b.Run(fmt.Sprintf("P=%d/W=%d", pw.p, pw.w), func(b *testing.B) {
-			var virtual int64
-			for i := 0; i < b.N; i++ {
-				s := sched.New(sched.Config{Processors: pw.p, Seed: int64(i), MemWords: 1 << 14})
-				obj, err := multimwcas.New(s.Mem(), multimwcas.Config{Processors: pw.p, Procs: pw.p, Width: pw.w})
-				if err != nil {
-					b.Fatal(err)
-				}
-				base := s.Mem().MustAlloc("app", pw.w)
-				addrs := make([]shmem.Addr, pw.w)
-				old := make([]uint64, pw.w)
-				next := make([]uint64, pw.w)
-				for j := range addrs {
-					addrs[j] = base + shmem.Addr(j)
-					obj.InitWord(addrs[j], 0)
-					next[j] = 1
-				}
-				worst := make([]int64, pw.p)
-				for cpu := 0; cpu < pw.p; cpu++ {
-					cpu := cpu
-					s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
-						start := e.Now()
-						obj.MWCAS(e, addrs, old, next)
-						worst[cpu] = e.Now() - start
-					}})
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				var m int64
-				for _, w := range worst {
-					if w > m {
-						m = w
-					}
-				}
-				virtual += m
-			}
-			b.ReportMetric(float64(virtual)/float64(b.N), "vsteps/worst-op")
-		})
-	}
-}
-
-// BenchmarkFig1MultiList regenerates Figure 1 row 4: multiprocessor list in
-// Θ(2PT).
-func BenchmarkFig1MultiList(b *testing.B) {
-	for _, pt := range []struct{ p, t int }{{2, 100}, {4, 100}, {8, 100}, {4, 200}, {4, 400}} {
-		pt := pt
-		b.Run(fmt.Sprintf("P=%d/T=%d", pt.p, pt.t), func(b *testing.B) {
-			var virtual int64
-			for i := 0; i < b.N; i++ {
-				s := sched.New(sched.Config{Processors: pt.p, Seed: int64(i), MemWords: 1 << 18})
-				ar, err := arena.New(s.Mem(), pt.t+16, pt.p)
-				if err != nil {
-					b.Fatal(err)
-				}
-				l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: pt.p, Procs: pt.p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				keys := make([]uint64, pt.t)
-				for j := range keys {
-					keys[j] = uint64(10 * (j + 1))
-				}
-				if err := l.SeedAscending(keys); err != nil {
-					b.Fatal(err)
-				}
-				ar.Freeze()
-				worst := make([]int64, pt.p)
-				for cpu := 0; cpu < pt.p; cpu++ {
-					cpu := cpu
-					s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
-						start := e.Now()
-						l.Search(e, uint64(10*pt.t+5))
-						worst[cpu] = e.Now() - start
-					}})
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				var m int64
-				for _, w := range worst {
-					if w > m {
-						m = w
-					}
-				}
-				virtual += m
-			}
-			b.ReportMetric(float64(virtual)/float64(b.N), "vsteps/worst-op")
-		})
-	}
-}
-
-// BenchmarkFig8CCAS compares the three CCAS implementations' virtual cost
-// (Figure 8: native one-step vs counter-tagged vs delay-based).
-func BenchmarkFig8CCAS(b *testing.B) {
-	for _, impl := range prim.All() {
-		impl := impl
-		b.Run(impl.Name(), func(b *testing.B) {
-			var virtual int64
-			for i := 0; i < b.N; i++ {
-				s := sched.New(sched.Config{Processors: 1, Seed: int64(i), MemWords: 64})
-				v := s.Mem().MustAlloc("V", 1)
-				x := s.Mem().MustAlloc("X", 1)
-				impl.InitWord(s.Mem(), x, 0)
-				s.SpawnAt(0, 0, 1, "p", func(e *sched.Env) {
-					start := e.Now()
-					for k := uint64(0); k < 100; k++ {
-						impl.Exec(e, v, 0, x, k, k+1)
-					}
-					virtual += (e.Now() - start) / 100
-				})
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(virtual)/float64(b.N), "vsteps/ccas")
-		})
-	}
-}
-
-// BenchmarkSec34Throughput regenerates the headline Section 3.4 experiment
-// at reduced scale (cmd/wfbench runs the full 50,000 operations): total
-// virtual time for a mixed insert/delete workload on lists of 200-2,000
-// elements, wait-free vs the Greenwald–Cheriton lock-free list. The paper's
-// result: wait-free total time is typically 1.5-2x the lock-free time.
-func BenchmarkSec34Throughput(b *testing.B) {
-	for _, size := range []int{200, 500, 1000, 2000} {
-		for _, kind := range []waitfree.ListKind{waitfree.KindWaitFree, waitfree.KindLockFreeGC} {
-			size, kind := size, kind
-			b.Run(fmt.Sprintf("size=%d/%s", size, kind), func(b *testing.B) {
-				var virtual int64
-				for i := 0; i < b.N; i++ {
-					res, err := waitfree.RunListExperiment(waitfree.ListExperiment{
-						Kind: kind, Processors: 4, BurstsPerCPU: 4, BurstOps: 25,
-						TotalOps: 2000, ListSize: size, Seed: int64(11 + i),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					virtual += res.Makespan
-				}
-				b.ReportMetric(float64(virtual)/float64(b.N), "vtotal")
-			})
-		}
-	}
-}
-
-// BenchmarkSec34Retries regenerates the Section 3.4 worst-case comparison:
-// the lock-free list's worst retry counts (the paper: 10-30 common, 30-50
-// frequent) against the wait-free list's bounded response (at most ~2P times
-// an interference-free operation).
-func BenchmarkSec34Retries(b *testing.B) {
-	b.Run("lockfree-worst-retries", func(b *testing.B) {
-		var worst int64
-		for i := 0; i < b.N; i++ {
-			res, err := waitfree.RunListExperiment(waitfree.ListExperiment{
-				Kind: waitfree.KindLockFreeGC, Processors: 4, BurstsPerCPU: 4, BurstOps: 25,
-				TotalOps: 2000, ListSize: 200, Seed: int64(11 + i),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			worst += int64(res.WorstRetries)
-		}
-		b.ReportMetric(float64(worst)/float64(b.N), "worst_retries")
-	})
-	b.Run("waitfree-worst-over-base", func(b *testing.B) {
-		var ratio float64
-		for i := 0; i < b.N; i++ {
-			res, err := waitfree.RunListExperiment(waitfree.ListExperiment{
-				Kind: waitfree.KindWaitFree, Processors: 4, BurstsPerCPU: 3, BurstOps: 1,
-				TotalOps: 2000, ListSize: 200, Seed: int64(7 + i),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ratio += float64(res.WorstOp) / float64(res.BaseOp)
-		}
-		b.ReportMetric(ratio/float64(b.N), "worst/base")
-	})
-}
-
-// BenchmarkSec34Valois regenerates the secondary comparison the paper cites
-// from [7]: the CAS2 lock-free list vs the CAS-only (Valois-lineage) list
-// under high contention on a small hot list.
-func BenchmarkSec34Valois(b *testing.B) {
-	run := func(b *testing.B, buildList func(s *sched.Sim, ar *arena.Arena) (interface {
-		Insert(shmem.Ctx, uint64, uint64) bool
-		Delete(shmem.Ctx, uint64) bool
-	}, error)) int64 {
-		var virtual int64
-		for i := 0; i < b.N; i++ {
-			s := sched.New(sched.Config{Processors: 4, Seed: int64(i), MemWords: 1 << 18, Granularity: sched.Coarse})
-			ar, err := arena.New(s.Mem(), 4096, 4)
-			if err != nil {
-				b.Fatal(err)
-			}
-			l, err := buildList(s, ar)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ar.Freeze()
-			for cpu := 0; cpu < 4; cpu++ {
-				cpu := cpu
-				s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
-					for op := 0; op < 100; op++ {
-						key := uint64(1 + e.Rand().Intn(8)) // hot: 8 keys
-						if e.Rand().Intn(2) == 0 {
-							l.Insert(e, key, key)
-						} else {
-							l.Delete(e, key)
+			for ti, t := range r.Tables {
+				for _, row := range t.Rows {
+					for i, v := range row.V {
+						name := strings.Join(append(row.Label, t.Values[i].Name), "/")
+						if len(r.Tables) > 1 {
+							name = fmt.Sprintf("%d/%s", ti, name)
 						}
+						b.ReportMetric(v, strings.Join(strings.Fields(name), "_"))
 					}
-				}})
+				}
 			}
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-			virtual += s.Elapsed()
-		}
-		return virtual
-	}
-	b.Run("lockfree-gc", func(b *testing.B) {
-		v := run(b, func(s *sched.Sim, ar *arena.Arena) (interface {
-			Insert(shmem.Ctx, uint64, uint64) bool
-			Delete(shmem.Ctx, uint64) bool
-		}, error) {
-			return gclist.New(s.Mem(), ar, 4)
-		})
-		b.ReportMetric(float64(v)/float64(b.N), "vtotal")
-	})
-	// The faithful cost model: Valois's auxiliary cells and traversal
-	// reference counts (the overhead [7] attributes its ten-fold
-	// advantage to).
-	b.Run("casonly-valois-refcounted", func(b *testing.B) {
-		v := run(b, func(s *sched.Sim, ar *arena.Arena) (interface {
-			Insert(shmem.Ctx, uint64, uint64) bool
-			Delete(shmem.Ctx, uint64) bool
-		}, error) {
-			l, err := valois.New(s.Mem(), ar, 4)
-			if err != nil {
-				return nil, err
-			}
-			l.SetRefCounted(true)
-			return l, nil
-		})
-		b.ReportMetric(float64(v)/float64(b.N), "vtotal")
-	})
-	// The modern mark-bit realization without reclamation overhead; it
-	// reverses the comparison — see EXPERIMENTS.md.
-	b.Run("casonly-harris", func(b *testing.B) {
-		v := run(b, func(s *sched.Sim, ar *arena.Arena) (interface {
-			Insert(shmem.Ctx, uint64, uint64) bool
-			Delete(shmem.Ctx, uint64) bool
-		}, error) {
-			return valois.New(s.Mem(), ar, 4)
-		})
-		b.ReportMetric(float64(v)/float64(b.N), "vtotal")
-	})
-}
-
-// BenchmarkAblationPvsN is ablation A1: the paper's processor-indexed
-// helping (2·P·T) against Herlihy-style process-indexed helping (2·N·T) as
-// the process count N grows with P fixed at 4.
-func BenchmarkAblationPvsN(b *testing.B) {
-	for _, n := range []int{4, 8, 16, 32} {
-		n := n
-		b.Run(fmt.Sprintf("waitfree/N=%d", n), func(b *testing.B) {
-			var virtual int64
-			for i := 0; i < b.N; i++ {
-				s := sched.New(sched.Config{Processors: 4, Seed: int64(i), MemWords: 1 << 18})
-				ar, err := arena.New(s.Mem(), 256, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: 4, Procs: n})
-				if err != nil {
-					b.Fatal(err)
-				}
-				ar.Freeze()
-				for p := 0; p < n; p++ {
-					p := p
-					s.Spawn(sched.JobSpec{Name: "", CPU: p % 4, Prio: sched.Priority(p / 4), Slot: p, AfterSlices: -1, Body: func(e *sched.Env) {
-						l.Insert(e, uint64(p+1), 0)
-					}})
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				virtual += s.Elapsed()
-			}
-			b.ReportMetric(float64(virtual)/float64(b.N), "vtotal")
-		})
-		b.Run(fmt.Sprintf("herlihy/N=%d", n), func(b *testing.B) {
-			var virtual int64
-			for i := 0; i < b.N; i++ {
-				s := sched.New(sched.Config{Processors: 4, Seed: int64(i), MemWords: 1 << 18})
-				obj, err := herlihy.New(s.Mem(), n, 40, herlihy.SortedSetApply)
-				if err != nil {
-					b.Fatal(err)
-				}
-				for p := 0; p < n; p++ {
-					p := p
-					s.Spawn(sched.JobSpec{Name: "", CPU: p % 4, Prio: sched.Priority(p / 4), Slot: p, AfterSlices: -1, Body: func(e *sched.Env) {
-						obj.Do(e, 1, uint64(p+1))
-					}})
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				virtual += s.Elapsed()
-			}
-			b.ReportMetric(float64(virtual)/float64(b.N), "vtotal")
-		})
-	}
-}
-
-// BenchmarkAblationPriorityHelping is ablation A2: how many lower-priority
-// operations complete before a late-arriving high-priority operation, under
-// cyclic vs priority helping.
-func BenchmarkAblationPriorityHelping(b *testing.B) {
-	for _, mode := range []helping.Mode{helping.Cyclic, helping.Priority} {
-		mode := mode
-		b.Run(mode.String(), func(b *testing.B) {
-			var virtual int64
-			for i := 0; i < b.N; i++ {
-				s := sched.New(sched.Config{Processors: 4, Seed: int64(i), MemWords: 1 << 18})
-				ar, err := arena.New(s.Mem(), 512, 4)
-				if err != nil {
-					b.Fatal(err)
-				}
-				l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: 4, Procs: 4, Mode: mode})
-				if err != nil {
-					b.Fatal(err)
-				}
-				keys := make([]uint64, 300)
-				for j := range keys {
-					keys[j] = uint64(10 * (j + 1))
-				}
-				if err := l.SeedAscending(keys); err != nil {
-					b.Fatal(err)
-				}
-				ar.Freeze()
-				var hiResponse int64
-				for cpu := 1; cpu < 4; cpu++ {
-					cpu := cpu
-					s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
-						for k := 0; k < 3; k++ {
-							l.Search(e, 3005)
-						}
-					}})
-				}
-				s.Spawn(sched.JobSpec{Name: "hi", CPU: 0, Prio: 9, Slot: 0, At: 700, AfterSlices: -1, Body: func(e *sched.Env) {
-					start := e.Now()
-					l.Search(e, 3005)
-					hiResponse = e.Now() - start
-				}})
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				virtual += hiResponse
-			}
-			b.ReportMetric(float64(virtual)/float64(b.N), "hi-op-vsteps")
-		})
-	}
-}
-
-// BenchmarkAblationOneRound is ablation A3: the [1] real-time optimization —
-// a single helping-ring traversal per operation when the workload permits.
-func BenchmarkAblationOneRound(b *testing.B) {
-	for _, oneRound := range []bool{false, true} {
-		oneRound := oneRound
-		name := "two-rounds"
-		if oneRound {
-			name = "one-round"
-		}
-		b.Run(name, func(b *testing.B) {
-			var virtual int64
-			for i := 0; i < b.N; i++ {
-				s := sched.New(sched.Config{Processors: 4, Seed: int64(i), MemWords: 1 << 14})
-				obj, err := multimwcas.New(s.Mem(), multimwcas.Config{Processors: 4, Procs: 4, Width: 2, OneRound: oneRound})
-				if err != nil {
-					b.Fatal(err)
-				}
-				base := s.Mem().MustAlloc("app", 2)
-				words := []shmem.Addr{base, base + 1}
-				obj.InitWord(words[0], 0)
-				obj.InitWord(words[1], 0)
-				for cpu := 0; cpu < 4; cpu++ {
-					cpu := cpu
-					s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
-						for k := 0; k < 10; k++ {
-							a := obj.ReadWord(e, words[0])
-							c := obj.ReadWord(e, words[1])
-							obj.MWCAS(e, words, []uint64{a, c}, []uint64{a + 1, c + 1})
-						}
-					}})
-				}
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				virtual += s.Elapsed()
-			}
-			b.ReportMetric(float64(virtual)/float64(b.N), "vtotal")
-		})
-	}
-}
-
-// BenchmarkAblationFindposStride is ablation A4: the Section 3.4 scan
-// optimization — one checkpoint CCAS per k nodes scanned. The optimization's
-// value depends on how synchronization is priced: with CAS as cheap as a
-// load (synccost=1) the shared checkpoint is pure gain, while with a
-// realistic coherence premium (synccost=8, closer to the paper's hardware)
-// large strides win, which is why the authors used k=100.
-func BenchmarkAblationFindposStride(b *testing.B) {
-	for _, syncCost := range []int64{1, 8} {
-		for _, stride := range []int{1, 10, 100} {
-			syncCost, stride := syncCost, stride
-			b.Run(fmt.Sprintf("synccost=%d/k=%d", syncCost, stride), func(b *testing.B) {
-				var virtual int64
-				for i := 0; i < b.N; i++ {
-					res, err := waitfree.RunListExperiment(waitfree.ListExperiment{
-						Kind: waitfree.KindWaitFree, Processors: 4, BurstsPerCPU: 2, BurstOps: 10,
-						TotalOps: 500, ListSize: 400, Seed: int64(3 + i), Stride: stride,
-						SyncCost: syncCost,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					virtual += res.Makespan
-				}
-				b.ReportMetric(float64(virtual)/float64(b.N), "vtotal")
-			})
-		}
-	}
-}
-
-// BenchmarkSection4Structures measures the extension objects' helped
-// operation costs (queue enq+deq, stack push+pop, hash ops at K buckets),
-// complementing the Figure 1 rows for the paper's Section 4 claim.
-func BenchmarkSection4Structures(b *testing.B) {
-	b.Run("uniqueue", func(b *testing.B) {
-		var virtual int64
-		for i := 0; i < b.N; i++ {
-			s := sched.New(sched.Config{Processors: 1, Seed: int64(i), MemWords: 1 << 14})
-			ar, err := arena.New(s.Mem(), 64, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			q, err := uniqueue.New(s.Mem(), ar, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ar.Freeze()
-			var cost int64
-			s.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
-				start := e.Now()
-				q.Enqueue(e, 1)
-				q.Dequeue(e)
-				cost = e.Now() - start
-			}})
-			s.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 9, Slot: 1, AfterSlices: 20, Body: func(e *sched.Env) {
-				q.Enqueue(e, 2)
-			}})
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-			virtual += cost
-		}
-		b.ReportMetric(float64(virtual)/float64(b.N), "vsteps/enq+deq")
-	})
-	b.Run("unistack", func(b *testing.B) {
-		var virtual int64
-		for i := 0; i < b.N; i++ {
-			s := sched.New(sched.Config{Processors: 1, Seed: int64(i), MemWords: 1 << 14})
-			ar, err := arena.New(s.Mem(), 64, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st, err := unistack.New(s.Mem(), ar, 2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ar.Freeze()
-			var cost int64
-			s.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
-				start := e.Now()
-				st.Push(e, 1)
-				st.Pop(e)
-				cost = e.Now() - start
-			}})
-			s.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 9, Slot: 1, AfterSlices: 15, Body: func(e *sched.Env) {
-				st.Push(e, 2)
-			}})
-			if err := s.Run(); err != nil {
-				b.Fatal(err)
-			}
-			virtual += cost
-		}
-		b.ReportMetric(float64(virtual)/float64(b.N), "vsteps/push+pop")
-	})
-	for _, k := range []int{1, 4, 16} {
-		k := k
-		b.Run(fmt.Sprintf("multihash/K=%d", k), func(b *testing.B) {
-			var virtual int64
-			for i := 0; i < b.N; i++ {
-				s := sched.New(sched.Config{Processors: 1, Seed: int64(i), MemWords: 1 << 18})
-				ar, err := arena.New(s.Mem(), 320, 1)
-				if err != nil {
-					b.Fatal(err)
-				}
-				tb, err := multihash.New(s.Mem(), ar, multihash.Config{Processors: 1, Procs: 1, Buckets: k})
-				if err != nil {
-					b.Fatal(err)
-				}
-				keys := make([]uint64, 256)
-				for j := range keys {
-					keys[j] = uint64(j + 1)
-				}
-				if err := tb.SeedKeys(keys); err != nil {
-					b.Fatal(err)
-				}
-				ar.Freeze()
-				var cost int64
-				s.SpawnAt(0, 0, 1, "p", func(e *sched.Env) {
-					start := e.Now()
-					tb.Search(e, 256)
-					cost = e.Now() - start
-				})
-				if err := s.Run(); err != nil {
-					b.Fatal(err)
-				}
-				virtual += cost
-			}
-			b.ReportMetric(float64(virtual)/float64(b.N), "vsteps/search")
 		})
 	}
 }

@@ -9,7 +9,8 @@
 # the native-hardware backend with its whole-registry stress suite).
 # Everything is stdlib-only and deterministic, so a green run on one
 # machine is a green run on all. Then end-to-end smokes into artifacts/
-# (which stays out of git): the Figure 2 trace export, the
+# (which stays out of git): the paper's experiment table against its
+# committed golden, the Figure 2 trace export, the
 # parallel-vs-serial byte-identity of wfcheck's sweep output (with and
 # without -cover), the wfbench full-matrix sweep (which asserts the same
 # identity internally and records timing plus schedule-space coverage in
@@ -72,6 +73,16 @@ go run ./cmd/wfbench -exp report -outdir artifacts/report > /dev/null
 for f in testdata/golden/report/*.json; do
     cmp "$f" "artifacts/report/$(basename "$f")"
 done
+
+# The paper's experiment table (internal/paper) at the paper's scale
+# (50,000 ops, 4 processors, seed 11): wfbench exits nonzero if any band
+# fails, and the numbers must match the committed golden byte for byte.
+# After an intended change to a number, regenerate the golden with
+#   go run ./cmd/wfbench -exp paper -outdir testdata/golden
+# and commit it with the change that moved the number.
+mkdir -p artifacts/paper
+go run ./cmd/wfbench -exp paper -outdir artifacts/paper > /dev/null
+cmp testdata/golden/BENCH_paper.json artifacts/paper/BENCH_paper.json
 
 go run ./cmd/wfbench -exp sweep -sweepseeds 1 -outdir artifacts
 test -s artifacts/BENCH_sweep.json

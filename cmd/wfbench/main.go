@@ -4,18 +4,17 @@
 // Usage:
 //
 //	wfbench -exp all                 # everything (a few minutes)
-//	wfbench -exp fig1                # Figure 1 worst-case time table
+//	wfbench -exp paper               # every paper experiment + BENCH_paper.json
+//	wfbench -exp fig1                # one paper experiment (ids: internal/paper)
 //	wfbench -exp sec34 -ops 50000    # Section 3.4 throughput comparison
-//	wfbench -exp retries             # Section 3.4 worst-case comparison
-//	wfbench -exp valois              # the [7]-cited CAS-only comparison
-//	wfbench -exp ablations           # A1-A4 design-choice ablations
 //	wfbench -exp native              # real-hardware ops/sec vs a sync.Mutex
 //	wfbench -exp service             # hot-key counter & rate limiter, both backends
 //
-// All numbers are virtual time units (one unit per memory operation; see
-// internal/sched). The shapes — linearity in W/T/P, wait-free/lock-free
-// ratios, bounded worst cases — are the reproduction targets; see
-// EXPERIMENTS.md for the paper-versus-measured record.
+// The paper experiments (fig1, fig8, sec34, retries, valois, ablations,
+// ext, mwcas) are declared once in internal/paper, each with the paper's
+// claim and a band over its rows. All their numbers are virtual time units
+// (one unit per memory operation; see internal/sched); see EXPERIMENTS.md
+// for the paper-versus-measured record.
 package main
 
 import (
@@ -29,30 +28,17 @@ import (
 	"text/tabwriter"
 	"time"
 
-	waitfree "repro"
-	"repro/internal/arena"
 	"repro/internal/arrival"
-	"repro/internal/baseline/gclist"
-	"repro/internal/baseline/herlihy"
-	"repro/internal/baseline/valois"
-	"repro/internal/core/multihash"
-	"repro/internal/core/multilist"
-	"repro/internal/core/multimwcas"
-	"repro/internal/core/unilist"
-	"repro/internal/core/unimwcas"
-	"repro/internal/core/uniqueue"
-	"repro/internal/core/unistack"
 	"repro/internal/cover"
 	"repro/internal/harness"
 	"repro/internal/helping"
 	"repro/internal/metrics"
+	"repro/internal/paper"
 	"repro/internal/prim"
 	"repro/internal/prof"
 	"repro/internal/registry"
-	"repro/internal/rt"
 	"repro/internal/scenario"
 	"repro/internal/sched"
-	"repro/internal/shmem"
 	"repro/internal/trace"
 	"repro/internal/tracex"
 	"repro/internal/workload"
@@ -80,7 +66,7 @@ var (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: fig1|ext|mwcas|sec34|retries|valois|ablations|report|sweep|core|native|service|all")
+	exp := flag.String("exp", "all", "experiment: paper|fig1|fig8|sec34|retries|valois|ablations|ext|mwcas|report|sweep|core|native|service|all")
 	ops := flag.Int("ops", 50000, "total operations for the sec34 experiments (the paper used 50000)")
 	procs := flag.Int("procs", 4, "processors for the sec34 experiments (the paper used 4)")
 	seed := flag.Int64("seed", 11, "random seed")
@@ -139,13 +125,11 @@ func main() {
 			}
 		}
 	}
-	run("fig1", func() error { return fig1(*seed) })
-	run("ext", func() error { return extensions(*seed) })
-	run("mwcas", func() error { return mwcasTable(*seed) })
-	run("sec34", func() error { return sec34(*ops, *procs, *seed) })
-	run("retries", func() error { return retries(*ops, *procs, *seed) })
-	run("valois", func() error { return valoisCmp(*seed) })
-	run("ablations", func() error { return ablations(*seed) })
+	sc := paper.Scale{Ops: *ops, Procs: *procs, Seed: *seed}
+	if ex, ok := paper.Lookup(*exp); ok {
+		run(*exp, func() error { return paperOne(ex, sc) })
+	}
+	run("paper", func() error { return paperAll(*outdir, sc) })
 	run("report", func() error { return reports(*outdir, *seed) })
 	run("sweep", func() error { return sweep(*outdir, *sweepSeeds) })
 	run("core", func() error { return coreBench(*outdir, *coreBaseline) })
@@ -178,607 +162,54 @@ func table(title string, header []string, rows [][]string) {
 	}
 }
 
-// fig1 regenerates the Figure 1 summary table: worst-case operation times
-// for the four implementations, demonstrating Θ(W), Θ(2T), Θ(2PW), Θ(2PT).
-func fig1(seed int64) error {
-	var rows [][]string
-
-	// Row 1: uniprocessor MWCAS vs W.
-	for _, w := range []int{2, 4, 8, 16, 32} {
-		s := sched.New(sched.Config{Processors: 1, Seed: seed, MemWords: 1 << 12})
-		obj, err := unimwcas.New(s.Mem(), 2, w)
-		if err != nil {
-			return err
-		}
-		base := s.Mem().MustAlloc("app", w)
-		addrs := make([]shmem.Addr, w)
-		old := make([]uint32, w)
-		next := make([]uint32, w)
-		for j := range addrs {
-			addrs[j] = base + shmem.Addr(j)
-			obj.InitWord(addrs[j], 0)
-			next[j] = 1
-		}
-		var cost int64
-		s.SpawnAt(0, 0, 1, "p", func(e *sched.Env) {
-			start := e.Now()
-			obj.MWCAS(e, addrs, old, next)
-			cost = e.Now() - start
-		})
-		if err := s.Run(); err != nil {
-			return err
-		}
-		rows = append(rows, []string{"uni MWCAS (CAS)", fmt.Sprintf("W=%d", w), fmt.Sprint(cost), "Θ(W)"})
+// paperOne measures and prints one paper experiment.
+func paperOne(ex paper.Experiment, sc paper.Scale) error {
+	r, err := ex.Measure(sc)
+	if err != nil {
+		return err
 	}
-
-	// Row 2: uniprocessor list vs T (with one helped preemption: 2T).
-	for _, size := range []int{100, 200, 400, 800} {
-		s := sched.New(sched.Config{Processors: 1, Seed: seed, MemWords: 1 << 17})
-		ar, err := arena.New(s.Mem(), size+16, 2)
-		if err != nil {
-			return err
-		}
-		l, err := unilist.New(s.Mem(), ar, 2)
-		if err != nil {
-			return err
-		}
-		keys := make([]uint64, size)
-		for j := range keys {
-			keys[j] = uint64(10 * (j + 1))
-		}
-		if err := l.SeedAscending(keys); err != nil {
-			return err
-		}
-		ar.Freeze()
-		var cost int64
-		s.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
-			start := e.Now()
-			l.Insert(e, uint64(10*size+5), 0)
-			cost = e.Now() - start
-		}})
-		s.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 9, Slot: 1, AfterSlices: int64(size), Body: func(e *sched.Env) {
-			l.Search(e, uint64(10*size+5))
-		}})
-		if err := s.Run(); err != nil {
-			return err
-		}
-		rows = append(rows, []string{"uni list (CAS)", fmt.Sprintf("T=%d", size), fmt.Sprint(cost), "Θ(2T)"})
+	printResult(r)
+	if r.Band != "pass" {
+		return fmt.Errorf("band failed")
 	}
-
-	// Row 3: multiprocessor MWCAS vs P and W.
-	for _, pw := range []struct{ p, w int }{{2, 8}, {4, 8}, {8, 8}, {4, 4}, {4, 16}} {
-		s := sched.New(sched.Config{Processors: pw.p, Seed: seed, MemWords: 1 << 14})
-		obj, err := multimwcas.New(s.Mem(), multimwcas.Config{Processors: pw.p, Procs: pw.p, Width: pw.w})
-		if err != nil {
-			return err
-		}
-		base := s.Mem().MustAlloc("app", pw.w)
-		addrs := make([]shmem.Addr, pw.w)
-		old := make([]uint64, pw.w)
-		next := make([]uint64, pw.w)
-		for j := range addrs {
-			addrs[j] = base + shmem.Addr(j)
-			obj.InitWord(addrs[j], 0)
-			next[j] = 1
-		}
-		worst := make([]int64, pw.p)
-		for cpu := 0; cpu < pw.p; cpu++ {
-			cpu := cpu
-			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
-				start := e.Now()
-				obj.MWCAS(e, addrs, old, next)
-				worst[cpu] = e.Now() - start
-			}})
-		}
-		if err := s.Run(); err != nil {
-			return err
-		}
-		var m int64
-		for _, v := range worst {
-			if v > m {
-				m = v
-			}
-		}
-		rows = append(rows, []string{"multi MWCAS (CAS+CCAS)", fmt.Sprintf("P=%d W=%d", pw.p, pw.w), fmt.Sprint(m), "Θ(2PW)"})
-	}
-
-	// Row 4: multiprocessor list vs P and T.
-	for _, pt := range []struct{ p, t int }{{2, 200}, {4, 200}, {8, 200}, {4, 100}, {4, 400}} {
-		s := sched.New(sched.Config{Processors: pt.p, Seed: seed, MemWords: 1 << 18})
-		ar, err := arena.New(s.Mem(), pt.t+16, pt.p)
-		if err != nil {
-			return err
-		}
-		l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: pt.p, Procs: pt.p})
-		if err != nil {
-			return err
-		}
-		keys := make([]uint64, pt.t)
-		for j := range keys {
-			keys[j] = uint64(10 * (j + 1))
-		}
-		if err := l.SeedAscending(keys); err != nil {
-			return err
-		}
-		ar.Freeze()
-		worst := make([]int64, pt.p)
-		for cpu := 0; cpu < pt.p; cpu++ {
-			cpu := cpu
-			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
-				start := e.Now()
-				l.Search(e, uint64(10*pt.t+5))
-				worst[cpu] = e.Now() - start
-			}})
-		}
-		if err := s.Run(); err != nil {
-			return err
-		}
-		var m int64
-		for _, v := range worst {
-			if v > m {
-				m = v
-			}
-		}
-		rows = append(rows, []string{"multi list (CAS+CCAS)", fmt.Sprintf("P=%d T=%d", pt.p, pt.t), fmt.Sprint(m), "Θ(2PT)"})
-	}
-
-	table("Figure 1 — worst-case operation time (virtual units)",
-		[]string{"implementation", "parameters", "worst-case time", "paper bound"}, rows)
 	return nil
 }
 
-// sec34 regenerates the Section 3.4 throughput experiment: total time for
-// ops insertion/deletion operations on sorted lists of 200-2,000 elements,
-// wait-free vs lock-free, on `procs` processors.
-func sec34(ops, procs int, seed int64) error {
-	var rows [][]string
-	for _, size := range []int{200, 500, 1000, 1500, 2000} {
-		mk := map[workload.Kind]int64{}
-		for _, kind := range []workload.Kind{workload.WaitFree, workload.LockFreeGC} {
-			res, err := workload.RunList(workload.ListConfig{
-				Kind: kind, Processors: procs, BurstsPerCPU: 4, BurstOps: 25,
-				TotalOps: ops, ListSize: size, Seed: seed,
-			})
-			if err != nil {
-				return err
-			}
-			mk[kind] = res.Makespan
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(size),
-			fmt.Sprint(mk[workload.WaitFree]),
-			fmt.Sprint(mk[workload.LockFreeGC]),
-			fmt.Sprintf("%.2f", float64(mk[workload.WaitFree])/float64(mk[workload.LockFreeGC])),
-		})
+// printResult prints an experiment's tables and band verdict.
+func printResult(r paper.Result) {
+	for _, t := range r.Tables {
+		header, rows := t.Cells()
+		table(t.Title, header, rows)
 	}
-	table(fmt.Sprintf("Section 3.4 — total time, %d ins/del ops, %d processors (paper: ratio 1.5-2, \"1.5 more typical\")", ops, procs),
-		[]string{"list size", "wait-free", "lock-free [7]", "ratio"}, rows)
-
-	// Supplementary: a read-heavy mix (kernels mostly look things up).
-	rows = nil
-	for _, size := range []int{200, 1000} {
-		mk := map[workload.Kind]int64{}
-		for _, kind := range []workload.Kind{workload.WaitFree, workload.LockFreeGC} {
-			res, err := workload.RunList(workload.ListConfig{
-				Kind: kind, Processors: procs, BurstsPerCPU: 4, BurstOps: 25,
-				TotalOps: ops, ListSize: size, Seed: seed, SearchPercent: 80,
-			})
-			if err != nil {
-				return err
-			}
-			mk[kind] = res.Makespan
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(size),
-			fmt.Sprint(mk[workload.WaitFree]),
-			fmt.Sprint(mk[workload.LockFreeGC]),
-			fmt.Sprintf("%.2f", float64(mk[workload.WaitFree])/float64(mk[workload.LockFreeGC])),
-		})
-	}
-	table("Section 3.4 supplement — 80% searches (read-heavy kernel mix)",
-		[]string{"list size", "wait-free", "lock-free [7]", "ratio"}, rows)
-	return nil
+	fmt.Printf("band: %s\n", r.Band)
 }
 
-// retries regenerates the Section 3.4 worst-case comparison: lock-free
-// retry counts vs the wait-free bounded response.
-func retries(ops, procs int, seed int64) error {
-	var rows [][]string
-	for _, size := range []int{200, 500, 1000} {
-		lf, err := workload.RunList(workload.ListConfig{
-			Kind: workload.LockFreeGC, Processors: procs, BurstsPerCPU: 4, BurstOps: 25,
-			TotalOps: ops, ListSize: size, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		wf, err := workload.RunList(workload.ListConfig{
-			Kind: workload.WaitFree, Processors: procs, BurstsPerCPU: 3, BurstOps: 1,
-			TotalOps: ops, ListSize: size, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		rows = append(rows, []string{
-			fmt.Sprint(size),
-			fmt.Sprint(lf.WorstRetries),
-			fmt.Sprintf("%.1f", float64(wf.WorstOp)/float64(wf.BaseOp)),
-		})
-	}
-	table(fmt.Sprintf("Section 3.4 — worst cases on %d processors (paper: retries 10-30 common, 30-50 frequent; wait-free <= %d x interference-free)", procs, 2*procs),
-		[]string{"list size", "lock-free worst retries", "wait-free worst/interference-free"}, rows)
-	return nil
-}
-
-// valoisCmp regenerates the [7]-cited comparison: CAS2 lock-free vs
-// CAS-only (Valois) under high contention.
-func valoisCmp(seed int64) error {
-	runList := func(build func(s *sched.Sim, ar *arena.Arena) (workload.List, error)) (int64, error) {
-		s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 18, Granularity: sched.Coarse, SyncCost: 8})
-		ar, err := arena.New(s.Mem(), 1<<14, 4)
-		if err != nil {
-			return 0, err
-		}
-		l, err := build(s, ar)
-		if err != nil {
-			return 0, err
-		}
-		ar.Freeze()
-		for cpu := 0; cpu < 4; cpu++ {
-			cpu := cpu
-			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
-				for op := 0; op < 1000; op++ {
-					key := uint64(1 + e.Rand().Intn(64))
-					if e.Rand().Intn(2) == 0 {
-						l.Insert(e, key, key)
-					} else {
-						l.Delete(e, key)
-					}
-				}
-			}})
-		}
-		if err := s.Run(); err != nil {
-			return 0, err
-		}
-		return s.Elapsed(), nil
-	}
-	gc, err := runList(func(s *sched.Sim, ar *arena.Arena) (workload.List, error) {
-		return gclist.New(s.Mem(), ar, 4)
-	})
+// paperAll prints every paper experiment and writes the deterministic
+// <outdir>/BENCH_paper.json; it fails if any band does.
+func paperAll(outdir string, sc paper.Scale) error {
+	d, err := paper.RunAll(sc)
 	if err != nil {
 		return err
 	}
-	vr, err := runList(func(s *sched.Sim, ar *arena.Arena) (workload.List, error) {
-		l, err := valois.New(s.Mem(), ar, 4)
-		if err != nil {
-			return nil, err
+	var failed []string
+	for _, r := range d.Experiments {
+		printResult(r)
+		if r.Band != "pass" {
+			failed = append(failed, r.ID)
 		}
-		l.SetRefCounted(true)
-		return l, nil
-	})
+	}
+	b, err := d.JSON()
 	if err != nil {
 		return err
 	}
-	vh, err := runList(func(s *sched.Sim, ar *arena.Arena) (workload.List, error) {
-		return valois.New(s.Mem(), ar, 4)
-	})
-	if err != nil {
+	path := filepath.Join(outdir, "BENCH_paper.json")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		return err
 	}
-	table("Section 3.4 — CAS2 lock-free vs CAS-only under high contention, sync cost 8 ([7] reports ~10x)",
-		[]string{"implementation", "total time", "vs lock-free"},
-		[][]string{
-			{"lock-free CAS2 [7]", fmt.Sprint(gc), "1.00"},
-			{"CAS-only, Valois cost model [13]", fmt.Sprint(vr), fmt.Sprintf("%.2f", float64(vr)/float64(gc))},
-			{"CAS-only, modern mark-bit (no reclamation)", fmt.Sprint(vh), fmt.Sprintf("%.2f", float64(vh)/float64(gc))},
-		})
-	return nil
-}
-
-// ablations regenerates the design-choice ablations A1-A4.
-func ablations(seed int64) error {
-	// A1: 2PT vs 2NT.
-	var rows [][]string
-	for _, n := range []int{4, 8, 16, 32} {
-		wf := func() int64 {
-			s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 18})
-			ar, err := arena.New(s.Mem(), 256, n)
-			if err != nil {
-				return -1
-			}
-			l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: 4, Procs: n})
-			if err != nil {
-				return -1
-			}
-			ar.Freeze()
-			for p := 0; p < n; p++ {
-				p := p
-				s.Spawn(sched.JobSpec{Name: "", CPU: p % 4, Prio: sched.Priority(p / 4), Slot: p, AfterSlices: -1, Body: func(e *sched.Env) {
-					l.Insert(e, uint64(p+1), 0)
-				}})
-			}
-			if err := s.Run(); err != nil {
-				return -1
-			}
-			return s.Elapsed()
-		}()
-		uc := func() int64 {
-			s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 18})
-			obj, err := herlihy.New(s.Mem(), n, 40, herlihy.SortedSetApply)
-			if err != nil {
-				return -1
-			}
-			for p := 0; p < n; p++ {
-				p := p
-				s.Spawn(sched.JobSpec{Name: "", CPU: p % 4, Prio: sched.Priority(p / 4), Slot: p, AfterSlices: -1, Body: func(e *sched.Env) {
-					obj.Do(e, 1, uint64(p+1))
-				}})
-			}
-			if err := s.Run(); err != nil {
-				return -1
-			}
-			return s.Elapsed()
-		}()
-		rows = append(rows, []string{fmt.Sprint(n), fmt.Sprint(wf), fmt.Sprint(uc), fmt.Sprintf("%.2f", float64(uc)/float64(wf))})
+	fmt.Printf("wrote %s\n", path)
+	if len(failed) > 0 {
+		return fmt.Errorf("bands failed: %v", failed)
 	}
-	table("A1 — processor-indexed helping (2PT, this paper) vs process-indexed (2NT, Herlihy [8]); P=4",
-		[]string{"N processes", "wait-free list", "universal construction", "UC/WF"}, rows)
-
-	// A2: cyclic vs priority helping for a late high-priority op.
-	rows = nil
-	for _, mode := range []helping.Mode{helping.Cyclic, helping.Priority} {
-		s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 18})
-		ar, err := arena.New(s.Mem(), 340, 4)
-		if err != nil {
-			return err
-		}
-		l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: 4, Procs: 4, Mode: mode})
-		if err != nil {
-			return err
-		}
-		keys := make([]uint64, 300)
-		for j := range keys {
-			keys[j] = uint64(10 * (j + 1))
-		}
-		if err := l.SeedAscending(keys); err != nil {
-			return err
-		}
-		ar.Freeze()
-		var hi int64
-		for cpu := 1; cpu < 4; cpu++ {
-			cpu := cpu
-			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
-				for k := 0; k < 3; k++ {
-					l.Search(e, 3005)
-				}
-			}})
-		}
-		s.Spawn(sched.JobSpec{Name: "hi", CPU: 0, Prio: 9, Slot: 0, At: 700, AfterSlices: -1, Body: func(e *sched.Env) {
-			start := e.Now()
-			l.Search(e, 3005)
-			hi = e.Now() - start
-		}})
-		if err := s.Run(); err != nil {
-			return err
-		}
-		rows = append(rows, []string{mode.String(), fmt.Sprint(hi)})
-	}
-	table("A2 — response time of a late high-priority operation (paper: priority helping \"very effective\")",
-		[]string{"helping mode", "hi-priority op response"}, rows)
-
-	// A3: one vs two helping rounds ([1]).
-	rows = nil
-	for _, oneRound := range []bool{false, true} {
-		s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 14})
-		obj, err := multimwcas.New(s.Mem(), multimwcas.Config{Processors: 4, Procs: 4, Width: 2, OneRound: oneRound})
-		if err != nil {
-			return err
-		}
-		base := s.Mem().MustAlloc("app", 2)
-		words := []shmem.Addr{base, base + 1}
-		obj.InitWord(words[0], 0)
-		obj.InitWord(words[1], 0)
-		for cpu := 0; cpu < 4; cpu++ {
-			cpu := cpu
-			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1, Body: func(e *sched.Env) {
-				for k := 0; k < 25; k++ {
-					a := obj.ReadWord(e, words[0])
-					c := obj.ReadWord(e, words[1])
-					obj.MWCAS(e, words, []uint64{a, c}, []uint64{a + 1, c + 1})
-				}
-			}})
-		}
-		if err := s.Run(); err != nil {
-			return err
-		}
-		name := "two rounds (general)"
-		if oneRound {
-			name = "one round ([1], RT scheduler)"
-		}
-		rows = append(rows, []string{name, fmt.Sprint(s.Elapsed())})
-	}
-	table("A3 — helping rounds per operation", []string{"mode", "total time"}, rows)
-
-	// A6: priority-helping starvation (the Section 3.4 caveat).
-	rows = nil
-	lowResp := func(mode helping.Mode, burst int) (int64, error) {
-		s := sched.New(sched.Config{Processors: 4, Seed: seed, MemWords: 1 << 19})
-		ar, err := arena.New(s.Mem(), 1024, 4)
-		if err != nil {
-			return 0, err
-		}
-		l, err := multilist.New(s.Mem(), ar, multilist.Config{Processors: 4, Procs: 4, Mode: mode})
-		if err != nil {
-			return 0, err
-		}
-		keys := make([]uint64, 200)
-		for j := range keys {
-			keys[j] = uint64(10 * (j + 1))
-		}
-		if err := l.SeedAscending(keys); err != nil {
-			return 0, err
-		}
-		ar.Freeze()
-		var low int64
-		s.Spawn(sched.JobSpec{Name: "low", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
-			start := e.Now()
-			l.Search(e, 2005)
-			low = e.Now() - start
-		}})
-		for cpu := 1; cpu < 4; cpu++ {
-			cpu := cpu
-			s.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 9, Slot: cpu, At: int64(cpu), AfterSlices: -1, Body: func(e *sched.Env) {
-				for i := 0; i < burst; i++ {
-					l.Search(e, 2005)
-				}
-			}})
-		}
-		if err := s.Run(); err != nil {
-			return 0, err
-		}
-		return low, nil
-	}
-	for _, burst := range []int{2, 4, 8} {
-		c, err := lowResp(helping.Cyclic, burst)
-		if err != nil {
-			return err
-		}
-		pr, err := lowResp(helping.Priority, burst)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, []string{fmt.Sprint(burst), fmt.Sprint(c), fmt.Sprint(pr)})
-	}
-	table("A6 — low-priority starvation under priority helping (paper's Section 3.4 caveat): cyclic bounds the wait, priority helping grows with the high-priority stream",
-		[]string{"high-prio ops per cpu", "cyclic low response", "priority low response"}, rows)
-
-	// A4: Findpos stride under cheap vs expensive synchronization.
-	rows = nil
-	for _, syncCost := range []int64{1, 8} {
-		for _, stride := range []int{1, 10, 100} {
-			res, err := waitfree.RunListExperiment(waitfree.ListExperiment{
-				Kind: waitfree.KindWaitFree, Processors: 4, BurstsPerCPU: 2, BurstOps: 10,
-				TotalOps: 500, ListSize: 400, Seed: seed, Stride: stride, SyncCost: syncCost,
-			})
-			if err != nil {
-				return err
-			}
-			rows = append(rows, []string{fmt.Sprint(syncCost), fmt.Sprint(stride), fmt.Sprint(res.Makespan)})
-		}
-	}
-	table("A4 — Findpos checkpoint stride (paper used k=100; pays off when synchronization is expensive)",
-		[]string{"sync cost", "stride k", "total time"}, rows)
-	return nil
-}
-
-// extensions measures the Section 4 extension structures (queue, stack,
-// hash table) and the real-time schedulability story built on the paper's
-// bounds.
-func extensions(seed int64) error {
-	var rows [][]string
-
-	// Queue/stack/hash worst-case op costs under one helped preemption.
-	uniCost := func(build func(s *sched.Sim, ar *arena.Arena) (func(e *sched.Env), error), nodes int) (int64, error) {
-		s := sched.New(sched.Config{Processors: 1, Seed: seed, MemWords: 1 << 18})
-		ar, err := arena.New(s.Mem(), nodes, 2)
-		if err != nil {
-			return 0, err
-		}
-		op, err := build(s, ar)
-		if err != nil {
-			return 0, err
-		}
-		ar.Freeze()
-		var cost int64
-		s.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
-			start := e.Now()
-			op(e)
-			cost = e.Now() - start
-		}})
-		s.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 9, Slot: 1, AfterSlices: 20, Body: func(e *sched.Env) {
-			op(e)
-		}})
-		if err := s.Run(); err != nil {
-			return 0, err
-		}
-		return cost, nil
-	}
-
-	qCost, err := uniCost(func(s *sched.Sim, ar *arena.Arena) (func(e *sched.Env), error) {
-		q, err := uniqueue.New(s.Mem(), ar, 2)
-		if err != nil {
-			return nil, err
-		}
-		return func(e *sched.Env) { q.Enqueue(e, 1); q.Dequeue(e) }, nil
-	}, 64)
-	if err != nil {
-		return err
-	}
-	stCost, err := uniCost(func(s *sched.Sim, ar *arena.Arena) (func(e *sched.Env), error) {
-		st, err := unistack.New(s.Mem(), ar, 2)
-		if err != nil {
-			return nil, err
-		}
-		return func(e *sched.Env) { st.Push(e, 1); st.Pop(e) }, nil
-	}, 64)
-	if err != nil {
-		return err
-	}
-	rows = append(rows,
-		[]string{"uni queue (enq+deq, helped once)", fmt.Sprint(qCost)},
-		[]string{"uni stack (push+pop, helped once)", fmt.Sprint(stCost)})
-
-	// Hash bucket speedup: search cost vs bucket count at 256 keys.
-	for _, k := range []int{1, 4, 16} {
-		s := sched.New(sched.Config{Processors: 1, Seed: seed, MemWords: 1 << 19})
-		ar, err := arena.New(s.Mem(), 320, 1)
-		if err != nil {
-			return err
-		}
-		tb, err := multihash.New(s.Mem(), ar, multihash.Config{Processors: 1, Procs: 1, Buckets: k})
-		if err != nil {
-			return err
-		}
-		keys := make([]uint64, 256)
-		for i := range keys {
-			keys[i] = uint64(i + 1)
-		}
-		if err := tb.SeedKeys(keys); err != nil {
-			return err
-		}
-		ar.Freeze()
-		var cost int64
-		s.SpawnAt(0, 0, 1, "p", func(e *sched.Env) {
-			start := e.Now()
-			tb.Search(e, 256)
-			cost = e.Now() - start
-		})
-		if err := s.Run(); err != nil {
-			return err
-		}
-		rows = append(rows, []string{fmt.Sprintf("hash search, 256 keys, K=%d buckets", k), fmt.Sprint(cost)})
-	}
-	table("Section 4 extensions — queue, stack, hash table (virtual units)",
-		[]string{"operation", "cost"}, rows)
-
-	// Real-time schedulability with the 2T helping surcharge.
-	tasks := rt.AssignRateMonotonic([]rt.Task{
-		{Name: "sensor", Period: 4000, BaseCost: 300, Ops: 2, OpCost: 140},
-		{Name: "control", Period: 9000, BaseCost: 800, Ops: 3, OpCost: 140},
-		{Name: "logger", Period: 20000, BaseCost: 2000, Ops: 4, OpCost: 140},
-	})
-	as, err := rt.ResponseTimeAnalysis(tasks)
-	if err != nil {
-		return err
-	}
-	rows = nil
-	for _, a := range as {
-		rows = append(rows, []string{a.Task.Name, fmt.Sprint(a.Task.Period), fmt.Sprint(a.WCET),
-			fmt.Sprint(a.Response), fmt.Sprintf("%v", a.Schedulable)})
-	}
-	table(fmt.Sprintf("Real-time response-time analysis with wait-free helping surcharge (utilization %.2f, Liu-Layland bound %.2f)",
-		rt.TotalUtilization(tasks), rt.LiuLaylandBound(len(tasks))),
-		[]string{"task", "period", "WCET (2T ops)", "response bound", "schedulable"}, rows)
 	return nil
 }
 
@@ -1115,32 +546,5 @@ func sweep(outdir string, seeds int) error {
 			fmt.Sprintf("%d (%.1f%%)", cov.Distinct, 100*cov.Coverage),
 		}})
 	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// mwcasTable is a supplementary table: MWCAS transaction throughput under
-// priority preemption (the read-compute-MWCAS usage of Section 3.1), across
-// processors and widths.
-func mwcasTable(seed int64) error {
-	var rows [][]string
-	for _, pw := range []struct{ p, w int }{{1, 2}, {1, 4}, {2, 2}, {4, 2}, {4, 4}} {
-		kind := workload.MWCASMulti
-		if pw.p == 1 {
-			kind = workload.MWCASUni
-		}
-		res, err := workload.RunMWCAS(workload.MWCASConfig{
-			Kind: kind, Processors: pw.p, Words: 8, Width: pw.w,
-			TotalCommits: 2000, BurstsPerCPU: 2, BurstCommits: 20, Seed: seed,
-		})
-		if err != nil {
-			return err
-		}
-		rows = append(rows, []string{
-			string(kind), fmt.Sprint(pw.p), fmt.Sprint(pw.w),
-			fmt.Sprint(res.Makespan), fmt.Sprint(res.Failures), fmt.Sprint(res.WorstOp),
-		})
-	}
-	table("MWCAS transactions — 2000 commits, 8 shared words, preemption bursts",
-		[]string{"kind", "P", "W", "total time", "conflict retries", "worst op"}, rows)
 	return nil
 }

@@ -80,6 +80,9 @@ func TestObsDisabledNsGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing gate skipped in -short mode")
 	}
+	if RaceEnabled {
+		t.Skip("wall-clock ratios are not meaningful under -race")
+	}
 	m := NewMem(64)
 	a := m.MustAlloc("w", 1)
 	w := NewWorld(m, 1)

@@ -85,7 +85,9 @@ func chainCorpus(t *testing.T) [][]byte {
 // log, its metrics.Report and the final shared word.
 func chainFingerprint(t *testing.T, impl Impl, data []byte, serial bool) string {
 	t.Helper()
-	s, x, wins := chainSim(impl, data, sched.Config{EnableTrace: true, DisableRunAhead: serial})
+	sched.SetRunAhead(!serial)
+	defer sched.SetRunAhead(true)
+	s, x, wins := chainSim(impl, data, sched.Config{EnableTrace: true})
 	if err := s.Run(); err != nil {
 		t.Fatalf("%s: Run: %v", impl.Name(), err)
 	}

@@ -3,11 +3,11 @@ package sched
 // Tests for the run-ahead fast path and the Sim reuse lifecycle. The fast
 // path's contract is observational equivalence: every run — traces, clocks,
 // per-process slice counts, watchdog failures — must be byte-identical with
-// batching on, off via SetRunAhead, and off via Config.DisableRunAhead. The
-// differential test below pins that across scenarios chosen to exercise each
-// horizon term (slice releases, time releases, multiprocessor clock
-// crossings, the watchdog) plus NoPreempt and zero-cost yields. The alloc
-// tests pin the zero-alloc claims of the trace and slice hot paths.
+// batching on and off via SetRunAhead. The differential test below pins
+// that across scenarios chosen to exercise each horizon term (slice
+// releases, time releases, multiprocessor clock crossings, the watchdog)
+// plus NoPreempt and zero-cost yields. The alloc tests pin the zero-alloc
+// claims of the trace and slice hot paths.
 
 import (
 	"fmt"
@@ -154,27 +154,22 @@ var fastpathScenarios = []struct {
 	}},
 }
 
-// TestRunAheadDifferential runs every scenario with batching enabled, with
-// it disabled process-wide, and with it disabled per-run, and requires the
-// three fingerprints to match byte for byte.
+// TestRunAheadDifferential runs every scenario with batching enabled and
+// with it disabled via SetRunAhead, and requires the two fingerprints to
+// match byte for byte.
 func TestRunAheadDifferential(t *testing.T) {
 	for _, sc := range fastpathScenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			runWith := func(global bool, perRun bool) string {
-				SetRunAhead(global)
+			runWith := func(runAhead bool) string {
+				SetRunAhead(runAhead)
 				defer SetRunAhead(true)
-				s := sc.build(Config{DisableRunAhead: perRun})
+				s := sc.build(Config{})
 				err := s.Run()
 				return fingerprint(s, err)
 			}
-			on := runWith(true, false)
-			offGlobal := runWith(false, false)
-			offPerRun := runWith(true, true)
-			if on != offGlobal {
-				t.Errorf("run-ahead on vs SetRunAhead(false) diverged:\n--- on ---\n%s--- off ---\n%s", on, offGlobal)
-			}
-			if on != offPerRun {
-				t.Errorf("run-ahead on vs DisableRunAhead diverged:\n--- on ---\n%s--- off ---\n%s", on, offPerRun)
+			on, off := runWith(true), runWith(false)
+			if on != off {
+				t.Errorf("run-ahead on vs SetRunAhead(false) diverged:\n--- on ---\n%s--- off ---\n%s", on, off)
 			}
 		})
 	}

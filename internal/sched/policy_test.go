@@ -274,7 +274,9 @@ func TestRunAheadDifferentialAllPolicies(t *testing.T) {
 			t.Run(name+"/"+sc.name, func(t *testing.T) {
 				on := sc.build(Config{Policy: pol})
 				onFP := fingerprint(on, on.Run())
-				off := sc.build(Config{Policy: pol, DisableRunAhead: true})
+				SetRunAhead(false)
+				defer SetRunAhead(true)
+				off := sc.build(Config{Policy: pol})
 				offFP := fingerprint(off, off.Run())
 				if onFP != offFP {
 					t.Errorf("policy %s scenario %s: run-ahead on vs off diverged:\n--- on ---\n%s--- off ---\n%s",

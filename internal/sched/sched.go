@@ -96,11 +96,6 @@ type Config struct {
 	MaxSteps uint64
 	// EnableTrace records scheduling events and algorithm annotations.
 	EnableTrace bool
-	// DisableRunAhead turns off the run-ahead slice-batching fast path for
-	// this run, forcing one scheduler round trip per slice. The schedule is
-	// identical either way (see DESIGN.md §10); the switch exists for
-	// benchmarking and differential testing, not for correctness.
-	DisableRunAhead bool
 	// Policy is the scheduling discipline; nil means DefaultPolicy (the
 	// paper's strict-priority model). The run-ahead fast path is armed for
 	// the default policy and for every NonPreemptive template
@@ -685,7 +680,7 @@ func (s *Sim) startIfNeeded(p *Proc) {
 	}
 	p.started = true
 	p.Started = s.cpus[p.spec.CPU].clock
-	if !s.cfg.DisableRunAhead && runAheadEnabled && s.policyRunAhead {
+	if runAheadEnabled && s.policyRunAhead {
 		// Fast core: iter.Pull hands control scheduler ↔ coroutine with a
 		// direct goroutine switch instead of parking both sides on a
 		// channel — the dominant per-slice cost on contended
@@ -967,7 +962,7 @@ func (s *Sim) rebuildOccupancy() {
 func (s *Sim) grantRunAhead(c *cpuState, p *Proc) {
 	e := p.env
 	e.budget, e.horizon = 0, 0
-	if s.cfg.DisableRunAhead || !runAheadEnabled || !s.policyRunAhead {
+	if !runAheadEnabled || !s.policyRunAhead {
 		// Preemptive non-default policies take the serial loop: the
 		// grant's soundness argument below leans on preemption being
 		// either the strict-priority rule or absent. NonPreemptive
