@@ -68,6 +68,9 @@ grep -q "curve" artifacts/wfcheck_cover_serial.txt
 cmp testdata/golden/wfcheck_max40.txt artifacts/wfcheck_serial.txt
 go run ./cmd/wftrace -object unilist -seed 1 -pattern stagger > artifacts/wftrace_unilist_stagger.txt
 cmp testdata/golden/wftrace_unilist_stagger.txt artifacts/wftrace_unilist_stagger.txt
+# After an intended change to a run report, regenerate the goldens with
+#   go run ./cmd/wfbench -exp report -outdir testdata/golden/report
+# and commit only the reports that moved, with the change that moved them.
 mkdir -p artifacts/report
 go run ./cmd/wfbench -exp report -outdir artifacts/report > /dev/null
 for f in testdata/golden/report/*.json; do
@@ -125,6 +128,8 @@ test -s artifacts/uniqueue.native.trace.json
 go run ./cmd/wfcheck -linz -rand 25 -par 1 > artifacts/wfcheck_linz.txt
 go run ./cmd/wfcheck -linz -rand 25 -par 0 > artifacts/wfcheck_linz_par.txt
 cmp artifacts/wfcheck_linz.txt artifacts/wfcheck_linz_par.txt
+# After an intended change to an object's history, regenerate the golden with
+#   go run ./cmd/wfcheck -linz -rand 25 -par 1 > testdata/golden/wfcheck_linz25.txt
 cmp testdata/golden/wfcheck_linz25.txt artifacts/wfcheck_linz.txt
 
 # Policy layer: off-default disciplines keep the parallel-vs-serial

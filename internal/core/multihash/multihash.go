@@ -130,7 +130,6 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Table, error) {
 		CC:         cfg.CC,
 		Done:       Done,
 		Help:       t.help,
-		OnAnnounce: func(shmem.Ctx) {},
 		OneRound:   cfg.OneRound,
 	}, RvTrue)
 	if err != nil {

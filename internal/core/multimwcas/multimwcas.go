@@ -104,7 +104,6 @@ func New(m shmem.Memory, cfg Config) (*Object, error) {
 		CC:         cfg.CC,
 		Done:       Done,
 		Help:       o.help,
-		OnAnnounce: func(shmem.Ctx) {},
 		OneRound:   cfg.OneRound,
 	}, RvTrue)
 	if err != nil {

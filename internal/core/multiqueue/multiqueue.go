@@ -4,13 +4,19 @@
 // announce records, cyclic or priority helping, and version-guarded CCAS
 // for every structural update.
 //
-// Enqueue is the list's insert protocol at the tail position (the scan for
-// the tail checkpoints in Ann[R].ptr); dequeue fixes its victim in
-// Par[p].node with a version-guarded CCAS before unsplicing, exactly as the
-// list's delete records its node on line 53. All the round-stability
-// arguments of the list transfer: an operation completes inside the round
-// that decides it, so the "already done" discriminators (the new node's
-// next pointer for enqueues, Par[p].node for dequeues) are safe.
+// Enqueue is the list's insert protocol at the tail position, but it finds
+// that position in O(1): one shared word, tail, names the node whose next
+// is the tail sentinel (first when the queue is empty) at every round
+// boundary. An enqueue splices after tail and then swings tail to the new
+// node; a dequeue that unsplices the tail node swings tail back to first
+// before it reports. Every write to tail is a version-guarded CCAS, so no
+// announce-time write exists and a round's helpers all agree on it.
+// Dequeue fixes its victim in Par[p].node with a version-guarded CCAS
+// before unsplicing, exactly as the list's delete records its node on
+// line 53. All the round-stability arguments of the list transfer: an
+// operation completes inside the round that decides it, so the "already
+// done" discriminators (tail for enqueues, Par[p].node for dequeues) are
+// safe.
 package multiqueue
 
 import (
@@ -64,7 +70,7 @@ type Queue struct {
 
 	first, last arena.Ref
 	par         shmem.Addr // Par[p]: node, op (N+1 rows)
-	annPtr      shmem.Addr // Ann[R].ptr tail-scan checkpoints
+	tail        shmem.Addr // the node whose next is last, at round boundaries
 }
 
 const (
@@ -88,19 +94,17 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Queue, error) {
 	if err != nil {
 		return nil, fmt.Errorf("multiqueue: %w", err)
 	}
-	annPtr, err := m.Alloc("QAnnPtr", cfg.Processors)
+	tail, err := m.Alloc("QTail", 1)
 	if err != nil {
 		return nil, fmt.Errorf("multiqueue: %w", err)
 	}
-	q := &Queue{mem: m, ar: ar, cc: cfg.CC, n: cfg.Procs, par: par, annPtr: annPtr}
+	q := &Queue{mem: m, ar: ar, cc: cfg.CC, n: cfg.Procs, par: par, tail: tail}
 	ar.SetNextImpl(cfg.CC)
 	q.first = ar.Static()
 	q.last = ar.Static()
 	cfg.CC.InitWord(m, ar.NextAddr(q.first), uint64(q.last))
 	cfg.CC.InitWord(m, ar.NextAddr(q.last), uint64(arena.NIL))
-	for r := 0; r < cfg.Processors; r++ {
-		cfg.CC.InitWord(m, q.annPtrAddr(r), uint64(q.first))
-	}
+	cfg.CC.InitWord(m, tail, uint64(q.first))
 	eng, err := helping.New(m, helping.Config{
 		Processors: cfg.Processors,
 		Procs:      cfg.Procs,
@@ -108,10 +112,7 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Queue, error) {
 		CC:         cfg.CC,
 		Done:       Done,
 		Help:       q.help,
-		OnAnnounce: func(e shmem.Ctx) {
-			q.cc.Write(e, q.annPtrAddr(e.CPU()), uint64(q.first))
-		},
-		OneRound: cfg.OneRound,
+		OneRound:   cfg.OneRound,
 	}, RvTrue)
 	if err != nil {
 		return nil, err
@@ -119,8 +120,6 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Queue, error) {
 	q.eng = eng
 	return q, nil
 }
-
-func (q *Queue) annPtrAddr(r int) shmem.Addr { return q.annPtr + shmem.Addr(r) }
 
 func (q *Queue) parAddr(p int, f shmem.Addr) shmem.Addr {
 	return q.par + shmem.Addr(p*parStride) + f
@@ -167,7 +166,7 @@ func (q *Queue) help(e shmem.Ctx, ver helping.Version) {
 	pid := q.eng.AnnPid(e, ver.Target)
 	switch e.Load(q.parAddr(pid, parOp)) {
 	case opEnq:
-		q.helpEnq(e, vw, ver, pid)
+		q.helpEnq(e, vw, pid)
 	case opDeq:
 		q.helpDeq(e, vw, pid)
 	default:
@@ -175,29 +174,38 @@ func (q *Queue) help(e shmem.Ctx, ver helping.Version) {
 	}
 }
 
-func (q *Queue) helpEnq(e shmem.Ctx, vw uint64, ver helping.Version, pid int) {
-	curr := q.findtail(e, ver, pid)
+// helpEnq splices Par[pid].node after the tail node and swings tail to it.
+// Each step is a version-guarded CCAS that a late helper of the same round
+// finds already done, so every helper runs them all in order.
+func (q *Queue) helpEnq(e shmem.Ctx, vw uint64, pid int) {
+	curr := arena.Ref(q.cc.Read(e, q.tail))
+	nextp := arena.Ref(q.cc.Read(e, q.ar.NextAddr(curr)))
 	if e.Load(q.eng.VAddr()) != vw {
 		return
 	}
-	nextp := arena.Ref(q.cc.Read(e, q.ar.NextAddr(curr)))
 	if q.cc.Read(e, q.eng.RvAddr(pid)) != RvPending {
 		return
 	}
 	newNode := arena.Ref(q.cc.Read(e, q.parAddr(pid, parNode)))
+	// curr == newNode: tail already names the operation's own node, so
+	// the splice and the swing are done this round. Fall through to Rv.
 	if curr != newNode {
-		// Splice before the tail sentinel (the list's lines 50-51).
-		q.cc.Exec(e, q.eng.VAddr(), vw, q.ar.NextAddr(newNode), uint64(arena.NIL), uint64(q.last))
 		if nextp == q.last {
+			// Splice before the tail sentinel (the list's lines 50-51).
+			q.cc.Exec(e, q.eng.VAddr(), vw, q.ar.NextAddr(newNode), uint64(arena.NIL), uint64(q.last))
 			if q.cc.Exec(e, q.eng.VAddr(), vw, q.ar.NextAddr(curr), uint64(q.last), uint64(newNode)) {
 				if e.Traced() {
 					e.Note("enqueue", trace.I("p", int64(pid)), trace.I("node", int64(newNode)))
 				}
 			}
+			nextp = newNode
+		}
+		// A late helper that finds the splice done must still swing
+		// tail: the splicer may have been preempted before it could.
+		if nextp == newNode {
+			q.cc.Exec(e, q.eng.VAddr(), vw, q.tail, uint64(curr), uint64(newNode))
 		}
 	}
-	// curr == newNode: the scan landed on the operation's own node — the
-	// splice is already done this round. Fall through either way.
 	q.cc.Exec(e, q.eng.VAddr(), vw, q.eng.RvAddr(pid), RvPending, RvTrue)
 }
 
@@ -228,24 +236,12 @@ func (q *Queue) helpDeq(e shmem.Ctx, vw uint64, pid int) {
 			e.Note("dequeue", trace.I("p", int64(pid)), trace.I("node", int64(victim)))
 		}
 	}
-	q.cc.Exec(e, q.eng.VAddr(), vw, q.eng.RvAddr(pid), RvPending, RvTrue)
-}
-
-// findtail scans for the tail predecessor from the processor's checkpoint.
-func (q *Queue) findtail(e shmem.Ctx, ver helping.Version, pid int) arena.Ref {
-	vw := helping.PackVersion(ver)
-	for q.cc.Read(e, q.eng.RvAddr(pid)) == RvPending {
-		curr := arena.Ref(q.cc.Read(e, q.annPtrAddr(ver.Target)))
-		nextp := arena.Ref(q.cc.Read(e, q.ar.NextAddr(curr)))
-		if e.Load(q.eng.VAddr()) != vw {
-			return q.first
-		}
-		if nextp == q.last || nextp == arena.NIL {
-			return curr
-		}
-		q.cc.Exec(e, q.eng.VAddr(), vw, q.annPtrAddr(ver.Target), uint64(curr), uint64(nextp))
+	// The victim was the tail node: swing tail back to first before Rv
+	// reports, so the node the caller frees is never the tail.
+	if succ == q.last {
+		q.cc.Exec(e, q.eng.VAddr(), vw, q.tail, uint64(victim), uint64(q.first))
 	}
-	return q.first
+	q.cc.Exec(e, q.eng.VAddr(), vw, q.eng.RvAddr(pid), RvPending, RvTrue)
 }
 
 // Snapshot returns the queued values in FIFO order (quiescent use only).

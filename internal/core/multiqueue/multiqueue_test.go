@@ -8,6 +8,7 @@ import (
 	"repro/internal/arena"
 	"repro/internal/check"
 	"repro/internal/core/multiqueue"
+	"repro/internal/explore"
 	"repro/internal/helping"
 	"repro/internal/prim"
 	"repro/internal/sched"
@@ -192,5 +193,91 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := multiqueue.New(s.Mem(), ar, multiqueue.Config{Processors: 1, Procs: 0}); err == nil {
 		t.Error("zero procs accepted")
+	}
+}
+
+// TestTailWindowSweep sweeps the release points of a same-CPU preemptor and
+// a remote process across a victim's enqueue/dequeue pairs, under every
+// CCAS implementation, and judges each schedule with the FIFO checker.
+// The windows it pins are the tail word's: a preemption between the splice
+// and the tail swing (a late helper must finish the swing) and a dequeue
+// that empties the queue (it must swing tail back to first before Rv).
+func TestTailWindowSweep(t *testing.T) {
+	for _, cc := range prim.All() {
+		cc := cc
+		t.Run(cc.Name(), func(t *testing.T) {
+			n, err := explore.Sweep(explore.Config{Adversaries: 2, Max: 60, Gap: 12},
+				func(rel []int64) error {
+					fx := newFixture(t, sched.Config{Processors: 2, Seed: 1},
+						multiqueue.Config{Processors: 2, Procs: 3, CC: cc}, 48)
+					chk := check.NewFIFOChecker(fx.q, fx.sim.Mem())
+					enq := func(e *sched.Env, p int, val uint64) {
+						chk.BeginEnq(p, val)
+						fx.q.Enqueue(e, val)
+						chk.EndEnq(p)
+					}
+					deq := func(e *sched.Env, p int) {
+						chk.BeginDeq(p)
+						v, ok := fx.q.Dequeue(e)
+						chk.EndDeq(p, v, ok)
+					}
+					fx.sim.Spawn(sched.JobSpec{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
+						enq(e, 0, 100)
+						deq(e, 0)
+						enq(e, 0, 101)
+						deq(e, 0)
+					}})
+					fx.sim.Spawn(sched.JobSpec{Name: "adv", CPU: 0, Prio: 5, Slot: 1, AfterSlices: rel[0], Body: func(e *sched.Env) {
+						enq(e, 1, 200)
+						deq(e, 1)
+					}})
+					fx.sim.Spawn(sched.JobSpec{Name: "remote", CPU: 1, Prio: 1, Slot: 2, AfterSlices: rel[1], Body: func(e *sched.Env) {
+						enq(e, 2, 300)
+						deq(e, 2)
+						enq(e, 2, 301)
+					}})
+					if err := fx.sim.Run(); err != nil {
+						return err
+					}
+					chk.Finish()
+					return chk.Err()
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("explored %d tail-window schedules", n)
+		})
+	}
+}
+
+// TestEnqueueCostFlatInDepth: with the tail word, an enqueue costs the same
+// at any queue depth. One process prefills depth d, then times 100
+// enqueue/dequeue pairs; vt/op at depth 256 must stay within 2x of depth 2.
+func TestEnqueueCostFlatInDepth(t *testing.T) {
+	const pairs = 100
+	cost := func(depth int) float64 {
+		fx := newFixture(t, sched.Config{Processors: 1, Seed: 1},
+			multiqueue.Config{Processors: 1, Procs: 1}, 2*(depth+64))
+		var elapsed int64
+		fx.sim.SpawnAt(0, 0, 1, "p", func(e *sched.Env) {
+			for i := 0; i < depth; i++ {
+				fx.q.Enqueue(e, uint64(i+1))
+			}
+			start := e.Now()
+			for i := 0; i < pairs; i++ {
+				fx.q.Enqueue(e, uint64(depth+i+1))
+				fx.q.Dequeue(e)
+			}
+			elapsed = e.Now() - start
+		})
+		if err := fx.sim.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return float64(elapsed) / (2 * pairs)
+	}
+	shallow, deep := cost(2), cost(256)
+	t.Logf("vt/op: depth 2 = %.1f, depth 256 = %.1f", shallow, deep)
+	if deep > 2*shallow {
+		t.Errorf("vt/op at depth 256 = %.1f, more than 2x depth 2's %.1f: enqueue cost grows with depth", deep, shallow)
 	}
 }

@@ -97,7 +97,6 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Stack, error) {
 		CC:         cfg.CC,
 		Done:       Done,
 		Help:       s.help,
-		OnAnnounce: func(shmem.Ctx) {},
 		OneRound:   cfg.OneRound,
 	}, RvTrue)
 	if err != nil {

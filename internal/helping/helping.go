@@ -121,7 +121,8 @@ type Config struct {
 	// OnAnnounce publishes the calling process's operation parameters
 	// into the object's announce record for the caller's processor
 	// (e.g. the list's Ann[mypr].ptr := &First). The engine itself
-	// writes the pid and, under priority helping, the priority.
+	// writes the pid and, under priority helping, the priority. Nil
+	// means the object has nothing to publish.
 	OnAnnounce func(e shmem.Ctx)
 	// OneRound, when set, skips the first helping round. This is the
 	// real-time optimization of reference [1]: under a real-time
@@ -159,8 +160,8 @@ func New(m shmem.Memory, cfg Config, doneRv uint64) (*Engine, error) {
 	if cfg.Mode != Cyclic && cfg.Mode != Priority {
 		return nil, fmt.Errorf("helping: invalid mode %v", cfg.Mode)
 	}
-	if cfg.CC == nil || cfg.Done == nil || cfg.Help == nil || cfg.OnAnnounce == nil {
-		return nil, fmt.Errorf("helping: CC, Done, Help and OnAnnounce are required")
+	if cfg.CC == nil || cfg.Done == nil || cfg.Help == nil {
+		return nil, fmt.Errorf("helping: CC, Done and Help are required")
 	}
 	v, err := m.Alloc("V", 1)
 	if err != nil {
@@ -278,7 +279,9 @@ func (g *Engine) DoOp(e shmem.Ctx) {
 
 // announce publishes process p as the pending operation on processor mypr.
 func (g *Engine) announce(e shmem.Ctx, mypr, p int) {
-	g.cfg.OnAnnounce(e)
+	if g.cfg.OnAnnounce != nil {
+		g.cfg.OnAnnounce(e)
+	}
 	if g.cfg.Mode == Priority {
 		e.Store(g.annPrioAddr(mypr), prioWord(e.Prio()))
 	}

@@ -85,7 +85,6 @@ func newCounterObject(t *testing.T, m *shmem.Mem, p, n int, mode helping.Mode) *
 			o.cc.Exec(e, o.eng.VAddr(), vw, o.counter, oldv, newv)
 			o.cc.Exec(e, o.eng.VAddr(), vw, o.eng.RvAddr(pid), 1, 2)
 		},
-		OnAnnounce: func(shmem.Ctx) {},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +174,10 @@ func TestValidation(t *testing.T) {
 	base := helping.Config{
 		Processors: 1, Procs: 1, Mode: helping.Cyclic, CC: prim.Native{},
 		Done: func(uint64) bool { return true },
-		Help: func(shmem.Ctx, helping.Version) {}, OnAnnounce: func(shmem.Ctx) {},
+		Help: func(shmem.Ctx, helping.Version) {},
+	}
+	if _, err := helping.New(m, base, 2); err != nil {
+		t.Errorf("nil OnAnnounce rejected: %v", err)
 	}
 	bad := base
 	bad.Processors = 0
