@@ -163,10 +163,10 @@ cmp artifacts/wfcheck_swarm.txt artifacts/wfcheck_swarm_par.txt
 grep -q "curve" artifacts/wfcheck_swarm.txt
 grep -q "schedules total" artifacts/wfcheck_swarm.txt
 
-# Run-ahead fast-path regression guard: batching must stay armed for the
-# default policy and for the non-preemptive templates (fcfs, sjf,
-# priority-fcfs), and declined for the preemptive off-default ones (which
-# fall back to the serial loop the differential suite pins).
+# Run-ahead fast-path regression guard: batching must be armed under every
+# policy on an uncontended dispatch, and refused under the preemptive ones
+# (priority, age-slo, reverse-priority) while a waiting job that preempts
+# the runner is held off only by an open NoPreempt window.
 go test ./internal/sched/ -run TestRunAheadPolicyGate -count=1
 
 # Native allocation gate: every core object's Begin/Apply/End hot path on

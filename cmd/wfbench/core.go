@@ -3,7 +3,8 @@ package main
 // The -exp core experiment: the simulator-core performance trajectory.
 //
 // Two measurements, both taken with the run-ahead fast path off ("serial",
-// one scheduler round trip per slice) and on ("runahead", batched slices):
+// one coroutine round trip to the scheduler loop per slice) and on
+// ("runahead", batched slices):
 //
 //   - a Fine-granularity uncontended microbenchmark (one processor, one
 //     process, a long Load/Store loop) — the pure per-slice overhead of the
@@ -14,11 +15,11 @@ package main
 //     timed per object with the fastest of several repetitions kept.
 //
 // The sweep's headline speedup is the GEOMETRIC MEAN of the per-object
-// speedups: the uniprocessor families run 8–16× faster under run-ahead,
-// while the two-processor families are bounded near 2.5–3× because their
+// speedups: the uniprocessor families batch long uncontended stretches,
+// while the two-processor families gain almost nothing because their
 // workers alternate slice-by-slice across CPUs — batching across that
 // boundary would reorder memory operations and break byte-identity, so
-// every duet slice intrinsically pays one coroutine round trip. A
+// every duet slice pays one coroutine round trip in both modes. A
 // total-time ratio would weight objects by the incidental length of their
 // op scripts (and be dominated by the slowest family); the geometric mean
 // weights each object equally, the usual convention for summarizing

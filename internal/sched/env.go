@@ -26,19 +26,17 @@ type Env struct {
 
 	// pending is the virtual-time cost accumulated since the last yield.
 	pending int64
-	// yieldFast, when non-nil, is the pull-mode slow yield: a direct
-	// goroutine switch back to the scheduler (iter.Pull — see
-	// Sim.startIfNeeded). nil selects the channel rendezvous. Both
-	// transports serialize the scheduler and the coroutine strictly, so
-	// the shared-state exclusivity argument is the same.
-	yieldFast func(yieldMsg) bool
+	// yield hands control back to the scheduler: iter.Pull's direct
+	// goroutine switch (see Sim.startIfNeeded). It is set while a job body
+	// runs and returns false when the coroutine is being unwound.
+	yield func(yieldMsg) bool
 	// budget and horizon arm the run-ahead fast path (Sim.grantRunAhead):
 	// while budget > 0, yieldNow may conclude a slice locally — advancing
-	// the processor clock and the slice counters without the two-channel
-	// scheduler round trip — as long as the new clock stays strictly below
-	// horizon. Both are written by the scheduler goroutine before it
-	// resumes this process and read/written by the coroutine afterwards;
-	// the resume/yield channel pair orders those accesses.
+	// the processor clock and the slice counters without the scheduler
+	// round trip — as long as the new clock stays strictly below horizon.
+	// Both are written by the scheduler before it resumes this process and
+	// read/written by the coroutine afterwards; the coroutine's strict
+	// resume/yield rendezvous orders those accesses.
 	budget  int64
 	horizon int64
 	// noPreempt > 0 suppresses preemption on this processor (Figure 8(b)
@@ -73,10 +71,9 @@ func (e *Env) point(cost int64, sync bool) {
 const coarseSliceOps = 32
 
 // yieldNow hands control back to the scheduler and blocks until this process
-// is dispatched again. The pending cost is reset before the send: after the
-// send this goroutine and the scheduler run concurrently until the blocking
-// receive below, so the coroutine must not touch shared state (including
-// its own Env fields the scheduler might read) in that window.
+// is dispatched again. The pending cost is reset before the yield: from
+// then until the resume, the scheduler owns all simulator state (including
+// this Env's fields).
 func (e *Env) yieldNow() {
 	if e.sim.aborting {
 		panic(errAborted)
@@ -84,11 +81,11 @@ func (e *Env) yieldNow() {
 	if e.budget > 0 {
 		// Run-ahead fast path: the scheduler granted this process a
 		// batch of slices (grantRunAhead). Conclude the slice locally —
-		// same clock advance, same slice accounting, no channel round
+		// same clock advance, same slice accounting, no scheduler round
 		// trip — while the clock stays strictly below the event
-		// horizon. The scheduler goroutine is blocked in runSlice's
-		// yield receive for the whole batch, so these writes to shared
-		// simulator state are exclusive.
+		// horizon. The scheduler is suspended in runSlice's resume for
+		// the whole batch, so these writes to shared simulator state
+		// are exclusive.
 		if nc := e.cpu.clock + e.pending; nc < e.horizon {
 			e.budget--
 			e.cpu.clock = nc
@@ -100,13 +97,8 @@ func (e *Env) yieldNow() {
 	}
 	cost := e.pending
 	e.pending = 0
-	if e.yieldFast != nil {
-		if !e.yieldFast(yieldMsg{kind: yieldPoint, cost: cost}) {
-			panic(errAborted)
-		}
-	} else {
-		e.p.yield <- yieldMsg{kind: yieldPoint, cost: cost}
-		<-e.p.resume
+	if !e.yield(yieldMsg{kind: yieldPoint, cost: cost}) {
+		panic(errAborted)
 	}
 	if e.sim.aborting {
 		panic(errAborted)

@@ -6,7 +6,8 @@ package sched
 // batching on and off via SetRunAhead. The differential test below pins
 // that across scenarios chosen to exercise each horizon term (slice
 // releases, time releases, multiprocessor clock crossings, the watchdog)
-// plus NoPreempt and zero-cost yields. The alloc tests pin the zero-alloc
+// plus NoPreempt, a NoPreempt window lapsing under waiting arrivals, and
+// zero-cost yields. The alloc tests pin the zero-alloc
 // claims of the trace and slice hot paths.
 
 import (
@@ -50,30 +51,7 @@ var fastpathScenarios = []struct {
 		// release, adversaries batch to completion.
 		cfg := extra
 		cfg.Processors, cfg.Seed, cfg.MemWords, cfg.EnableTrace = 1, 3, 1<<12, true
-		s := New(cfg)
-		x := s.Mem().MustAlloc("x", 4)
-		s.Spawn(JobSpec{Name: "victim", CPU: 0, Prio: 1, AfterSlices: -1, Body: func(e *Env) {
-			for i := 0; i < 40; i++ {
-				e.Store(x, uint64(i))
-			}
-			e.NoPreempt(func() {
-				e.Store(x, 99)
-				e.Store(x+1, 100)
-			})
-			for i := 0; i < 10; i++ {
-				e.CAS(x, uint64(99), uint64(i))
-			}
-		}})
-		s.Spawn(JobSpec{Name: "adv1", CPU: 0, Prio: 5, AfterSlices: 7, Body: func(e *Env) {
-			for i := 0; i < 6; i++ {
-				e.Load(x)
-			}
-		}})
-		s.Spawn(JobSpec{Name: "adv2", CPU: 0, Prio: 9, AfterSlices: 19, Body: func(e *Env) {
-			e.Delay(5)
-			e.Store(x+2, 7)
-		}})
-		return s
+		return rebuildScenario0(New(cfg))
 	}},
 	{"multi-time-releases", func(extra Config) *Sim {
 		// Two busy processors bound each other's horizons; late time
@@ -152,6 +130,37 @@ var fastpathScenarios = []struct {
 		})
 		return s
 	}},
+	{"nopreempt-lapse", func(extra Config) *Sim {
+		// Two arrivals land inside the runner's NoPreempt window. Under a
+		// preemptive policy the one that Preempts the runner takes the
+		// processor the moment the window lapses, so no grant may be armed
+		// while it waits: the window may close at any slice boundary.
+		// Which arrival that is depends on the policy (prio 9 under
+		// priority, prio 1 under reverse-priority).
+		cfg := extra
+		cfg.Processors, cfg.Seed, cfg.MemWords, cfg.EnableTrace = 1, 8, 1<<12, true
+		s := New(cfg)
+		x := s.Mem().MustAlloc("x", 2)
+		s.Spawn(JobSpec{Name: "runner", CPU: 0, Prio: 5, AfterSlices: -1, Body: func(e *Env) {
+			e.Store(x, 1)
+			e.NoPreempt(func() {
+				for i := 0; i < 10; i++ {
+					e.Store(x, uint64(i))
+				}
+			})
+			for i := 0; i < 30; i++ {
+				e.Store(x+1, uint64(i))
+			}
+		}})
+		for _, prio := range []Priority{1, 9} {
+			s.Spawn(JobSpec{Name: fmt.Sprintf("arr%d", prio), CPU: 0, Prio: prio, AfterSlices: 4, Body: func(e *Env) {
+				for i := 0; i < 3; i++ {
+					e.Load(x)
+				}
+			}})
+		}
+		return s
+	}},
 }
 
 // TestRunAheadDifferential runs every scenario with batching enabled and
@@ -197,9 +206,9 @@ func TestResetMatchesNew(t *testing.T) {
 	}
 }
 
-// rebuildScenario0 re-spawns fastpathScenarios[0]'s cast on an
-// already-configured Sim (the builder always calls New itself, so the Reset
-// test needs the spawn half alone; keep in sync with the scenario above).
+// rebuildScenario0 spawns fastpathScenarios[0]'s cast on an
+// already-configured Sim: the scenario builder calls New itself, so the
+// Reset and pool tests use the spawn half alone.
 func rebuildScenario0(s *Sim) *Sim {
 	x := s.Mem().MustAlloc("x", 4)
 	s.Spawn(JobSpec{Name: "victim", CPU: 0, Prio: 1, AfterSlices: -1, Body: func(e *Env) {
@@ -261,8 +270,8 @@ func allocRun(slices int, traced bool) {
 }
 
 // TestAllocsPerSlice pins the slice hot path allocation-free: a pooled
-// 2000-slice run may allocate only its fixed per-run overhead (goroutine,
-// channels, Proc, trace chunk), so allocations per slice must stay under
+// 2000-slice run may allocate only its fixed per-run overhead (coroutine,
+// Proc, trace chunk), so allocations per slice must stay under
 // 0.05 with tracing off and on.
 func TestAllocsPerSlice(t *testing.T) {
 	const slices = 2000

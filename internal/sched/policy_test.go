@@ -13,8 +13,9 @@ package sched
 //   - preemption semantics per template (who preempts whom);
 //   - VerifyPriorityModel refuses non-priority runs with a typed error
 //     rather than a vacuous pass;
-//   - the run-ahead fast path stays armed for the default policy and is
-//     declined (falling back to the serial loop) for every other one.
+//   - the run-ahead fast path is armed under every policy, refuses a grant
+//     while a preempting waiter sits behind an open NoPreempt window, and
+//     stays byte-identical to the serial loop under each.
 
 import (
 	"errors"
@@ -209,13 +210,16 @@ func TestVerifyPriorityModelPolicyGate(t *testing.T) {
 	}
 }
 
-// TestRunAheadPolicyGate probes grantRunAhead directly: on a freshly
-// dispatched, uncontended processor the default policy and every
-// NonPreemptive template (fcfs, priority-fcfs, sjf — run-to-completion
-// dispatch makes batching trivially sound) must arm a batching grant, and
-// every preemptive non-default policy must decline one (falling back to
-// the serial loop, whose behavior the differential suite pins).
+// TestRunAheadPolicyGate probes grantRunAhead directly. On a freshly
+// dispatched, uncontended processor every policy must arm a batching grant:
+// the grant's soundness rests on static keys and a strict Preempts, never on
+// the priority order. And under the preemptive templates (priority, age-slo,
+// reverse-priority), a waiting job that Preempts the runner must make the
+// grant refuse while an open NoPreempt window is all that holds it off —
+// the window may lapse at any slice boundary. The non-preemptive templates
+// keep their grant in the same state, since nothing waiting preempts.
 func TestRunAheadPolicyGate(t *testing.T) {
+	preemptive := map[string]bool{"": true, "priority": true, "age-slo": true, "reverse-priority": true}
 	for _, name := range append([]string{""}, PolicyNames()...) {
 		label := name
 		if label == "" {
@@ -228,42 +232,68 @@ func TestRunAheadPolicyGate(t *testing.T) {
 			}
 			s := New(Config{Processors: 1, Seed: 1, MemWords: 1 << 10, Policy: pol})
 			x := s.Mem().MustAlloc("x", 1)
-			s.Spawn(JobSpec{Name: "w", CPU: 0, Prio: 1, AfterSlices: -1, Body: func(e *Env) {
-				for i := 0; i < 50; i++ {
-					e.Store(x, uint64(i))
-				}
+			s.Spawn(JobSpec{Name: "w", CPU: 0, Prio: 5, AfterSlices: -1, Body: func(e *Env) {
+				e.Store(x, 0)
+				e.NoPreempt(func() {
+					for i := 0; i < 10; i++ {
+						e.Store(x, uint64(i))
+					}
+				})
 			}})
-			// Drive the scheduler's first dispatch by hand, then probe the
-			// grant the run loop would hand the coroutine.
-			s.deliverTimeArrivals()
+			for _, prio := range []Priority{1, 9} {
+				s.Spawn(JobSpec{CPU: 0, Prio: prio, AfterSlices: 4, Body: func(e *Env) { e.Load(x) }})
+			}
+			defer s.shutdown()
 			c := s.cpus[0]
-			p := s.pick(c)
-			if p == nil {
-				t.Fatal("no process picked")
+			// step drives one scheduler decision by hand (deliver, pick,
+			// dispatch); run executes it as one serial slice, otherwise it
+			// probes the grant the run loop would hand the coroutine.
+			step := func(run bool) (*Proc, bool) {
+				s.deliverSliceArrivals()
+				s.deliverTimeArrivals()
+				p := s.pick(c)
+				if p == nil {
+					t.Fatal("no process picked")
+				}
+				p.state = stateRunning
+				if run {
+					p.env.budget, p.env.horizon = 0, 0
+					s.runSlice(c, p)
+					s.slices++
+					return p, false
+				}
+				s.grantRunAhead(c, p)
+				return p, p.env.budget > 0
 			}
-			s.startIfNeeded(p)
-			s.grantRunAhead(c, p)
-			granted := p.env.budget > 0
-			_, nonPreemptive := pol.(NonPreemptive)
-			wantGrant := pol == DefaultPolicy() || nonPreemptive
-			if wantNP := map[string]bool{"fcfs": true, "priority-fcfs": true, "sjf": true}[name]; nonPreemptive != wantNP {
-				t.Errorf("policy %s: NonPreemptive marker = %v, want %v", label, nonPreemptive, wantNP)
+			if _, granted := step(false); !granted {
+				t.Errorf("policy %s: no run-ahead grant on an uncontended first dispatch", label)
 			}
-			if granted != wantGrant {
-				t.Errorf("policy %s: run-ahead granted = %v (budget %d, horizon %d), want %v",
-					label, granted, p.env.budget, p.env.horizon, wantGrant)
+			// Run the first Store and four NoPreempt Stores: the two
+			// arrivals are released at slice 4, inside the window.
+			for s.slices < 5 {
+				step(true)
 			}
-			// Unwind the coroutine cleanly.
-			s.shutdown()
+			p, granted := step(false)
+			if p.Name() != "w" || p.env.noPreempt == 0 {
+				t.Fatalf("policy %s: probe at slice %d ran %s (noPreempt %d), want w inside its NoPreempt window",
+					label, s.slices, p.Name(), p.env.noPreempt)
+			}
+			if top := c.ready[0]; pol.Preempts(top.key, p.key) != preemptive[name] {
+				t.Fatalf("policy %s: waiting %s Preempts the runner = %v, want %v",
+					label, top.Name(), !preemptive[name], preemptive[name])
+			}
+			if granted == preemptive[name] {
+				t.Errorf("policy %s: run-ahead granted = %v inside a NoPreempt window with a waiting job, want %v",
+					label, granted, !preemptive[name])
+			}
 		})
 	}
 }
 
 // TestRunAheadDifferentialAllPolicies extends the fast-path differential
 // to every policy template: with run-ahead enabled and disabled, every
-// fastpath scenario must produce byte-identical fingerprints. For the
-// default policy this exercises real batching; for the others it proves
-// the gate leaves behavior untouched.
+// fastpath scenario must produce byte-identical fingerprints, so batching
+// is proved sound under each policy's own preemption rule.
 func TestRunAheadDifferentialAllPolicies(t *testing.T) {
 	for _, name := range PolicyNames() {
 		pol, err := PolicyByName(name)

@@ -13,12 +13,11 @@
 //   - memory is sequentially consistent and CAS (and, natively, CCAS/CAS2)
 //     is atomic.
 //
-// Simulated processes are coroutines: each is a goroutine that blocks on a
-// private channel and is woken by the scheduler, runs until its next
-// preemption point (every shared-memory operation in Fine granularity), and
-// hands control back. Exactly one simulated process executes at any real
-// instant, so simulated shared memory needs no locking and every run is
-// deterministic given its seed and job set.
+// Simulated processes are iter.Pull coroutines: the scheduler resumes one,
+// it runs until its next preemption point (every shared-memory operation in
+// Fine granularity), and yields control back. Exactly one simulated process
+// executes at any real instant, so simulated shared memory needs no locking
+// and every run is deterministic given its seed and job set.
 //
 // Multiprocessor parallelism is modelled as an interleaving: each simulated
 // processor has a virtual clock that advances by the cost of the operations
@@ -98,10 +97,8 @@ type Config struct {
 	EnableTrace bool
 	// Policy is the scheduling discipline; nil means DefaultPolicy (the
 	// paper's strict-priority model). The run-ahead fast path is armed for
-	// the default policy and for every NonPreemptive template
-	// (fcfs/priority-fcfs/sjf — run-to-completion dispatch makes batching
-	// trivially sound); preemptive non-default policies (age-slo,
-	// reverse-priority) take the serial scheduler loop (see DESIGN.md §13).
+	// every policy: it relies only on the static-key contract (see Policy
+	// and DESIGN.md §13).
 	Policy Policy
 }
 
@@ -161,16 +158,11 @@ type Proc struct {
 	state procState
 	env   *Env
 
-	resume chan struct{}
-	yield  chan yieldMsg
-	// next, when non-nil, resumes the coroutine through iter.Pull's direct
-	// goroutine switch instead of the channel rendezvous — the run-ahead
-	// fast core's handoff (see startIfNeeded). The coroutine is a
-	// persistent loop (coloop): it parks at the final yield of one job
-	// body and picks up the next body on resume, so a pooled Proc reuses
-	// one coroutine (and its stack) across every schedule of a sweep.
-	// stop unwinds the parked loop (stopCoro); the serial mode keeps the
-	// channel pair as the reference implementation.
+	// next resumes the process's iter.Pull coroutine (see startIfNeeded).
+	// The coroutine is a persistent loop (coloop): it parks at the final
+	// yield of one job body and picks up the next body on resume, so a
+	// pooled Proc reuses one coroutine (and its stack) across every
+	// schedule of a sweep. stop unwinds the parked loop (stopCoro).
 	next func() (yieldMsg, bool)
 	stop func()
 
@@ -269,16 +261,13 @@ type Sim struct {
 
 	// policy is the run's scheduling discipline (never nil after Reset);
 	// policyDefault caches whether it is the strict-priority default (the
-	// reports' and signatures' "no policy stamp" case), and policyRunAhead
-	// whether the run-ahead fast path is sound for it: the default or any
-	// NonPreemptive template.
-	policy         Policy
-	policyDefault  bool
-	policyRunAhead bool
+	// reports' and signatures' "no policy stamp" case).
+	policy        Policy
+	policyDefault bool
 
-	// procFree recycles Proc/Env pairs (and their coroutine channels)
+	// procFree recycles Proc/Env pairs (and their parked coroutines)
 	// across Reset: sweeps spawn the same small cast thousands of times,
-	// and the Proc+Env+2-channel allocation per job was a top line in the
+	// and the per-job Proc+Env+coroutine allocation was a top line in the
 	// per-schedule profile.
 	procFree []*Proc
 
@@ -331,10 +320,6 @@ func (s *Sim) Reset(cfg Config) *Sim {
 		s.policy = defaultPolicy
 	}
 	_, s.policyDefault = s.policy.(priorityPolicy)
-	s.policyRunAhead = s.policyDefault
-	if !s.policyRunAhead {
-		_, s.policyRunAhead = s.policy.(NonPreemptive)
-	}
 	if s.mem == nil {
 		s.mem = shmem.New(cfg.MemWords)
 	} else {
@@ -357,14 +342,7 @@ func (s *Sim) Reset(cfg Config) *Sim {
 	}
 	for _, p := range s.proc {
 		if p.started && p.state != stateDone {
-			// Live coroutine (Reset without Run/shutdown): a parked
-			// pull-mode loop can be unwound and recycled; a channel-mode
-			// goroutine is blocked in a send we cannot drain here, so
-			// abandon it rather than hand it a recycled Proc.
-			if p.next == nil {
-				continue
-			}
-			p.stopCoro()
+			p.stopCoro() // live body: Reset without Run/shutdown
 		}
 		s.procFree = append(s.procFree, p)
 	}
@@ -426,7 +404,7 @@ func Acquire(cfg Config) *Sim { return simPool.Get().(*Sim).Reset(cfg) }
 // Procs' Envs, or its Mem afterwards. Trace logs obtained from Trace
 // remain valid: Reset never reuses them.
 //
-// Release unwinds every parked pull-mode coroutine (coloop) first: those
+// Release unwinds every parked coroutine (coloop) first: those
 // persist across Reset to serve Proc recycling within a sweep, but a Sim
 // sitting in (or dropped from) the pool must not hold goroutines.
 func Release(s *Sim) {
@@ -444,9 +422,10 @@ func Release(s *Sim) {
 
 // runAheadEnabled globally gates the run-ahead fast path (see
 // grantRunAhead). It exists so benchmarks and differential tests can compare
-// the serial and batched execution paths without plumbing a Config flag
-// through every call site; both paths produce byte-identical runs. It must
-// only be toggled while no simulation is running.
+// the serial path (every slice handed back to the scheduler loop: the same
+// coroutine with a zero grant) and the batched one without plumbing a Config
+// flag through every call site; both paths produce byte-identical runs. It
+// must only be toggled while no simulation is running.
 var runAheadEnabled = true
 
 // SetRunAhead enables or disables the run-ahead fast path process-wide.
@@ -532,17 +511,16 @@ func (s *Sim) Spawn(spec JobSpec) *Proc {
 }
 
 // takeProc returns a recycled Proc from the free list — all fields zeroed,
-// Env, channel pair, parked coroutine, and opSamples backing kept — or a
-// fresh one. The coroutine channels are created lazily by startIfNeeded:
-// the pull-mode fast core never needs them.
+// Env, parked coroutine, and opSamples backing kept — or a fresh one. The
+// coroutine is created lazily by startIfNeeded.
 func (s *Sim) takeProc() *Proc {
 	if n := len(s.procFree); n > 0 {
 		p := s.procFree[n-1]
 		s.procFree[n-1] = nil
 		s.procFree = s.procFree[:n-1]
-		e, resume, yield, samples := p.env, p.resume, p.yield, p.opSamples[:0]
+		e, samples := p.env, p.opSamples[:0]
 		next, stop := p.next, p.stop
-		*p = Proc{resume: resume, yield: yield, next: next, stop: stop, opSamples: samples}
+		*p = Proc{next: next, stop: stop, opSamples: samples}
 		p.env = e
 		return p
 	}
@@ -670,64 +648,32 @@ func (s *Sim) pick(c *cpuState) *Proc {
 	return top
 }
 
-// startIfNeeded launches the coroutine on first dispatch: through
-// iter.Pull's direct goroutine switch when the run-ahead fast core is
-// armed, or through the reference channel rendezvous otherwise. The mode is
-// fixed per process at first dispatch; runSlice and shutdown key on p.next.
+// startIfNeeded launches the coroutine on first dispatch. iter.Pull hands
+// control scheduler ↔ coroutine with a direct goroutine switch — the
+// dominant per-slice cost on contended multiprocessor runs, where the
+// clock-crossing horizon forbids any batching grant. A recycled Proc's
+// coroutine is still parked in its coloop from the previous schedule and
+// resumes into the new body directly.
 func (s *Sim) startIfNeeded(p *Proc) {
 	if p.started {
 		return
 	}
 	p.started = true
 	p.Started = s.cpus[p.spec.CPU].clock
-	if runAheadEnabled && s.policyRunAhead {
-		// Fast core: iter.Pull hands control scheduler ↔ coroutine with a
-		// direct goroutine switch instead of parking both sides on a
-		// channel — the dominant per-slice cost on contended
-		// multiprocessor runs, where the clock-crossing horizon forbids
-		// any batching grant. A recycled Proc's coroutine is still parked
-		// in its coloop from the previous schedule and resumes into the
-		// new body directly. Serial mode keeps the channel pair below as
-		// the reference implementation the differential suite pins
-		// byte-identical.
-		if p.next == nil {
-			p.next, p.stop = iter.Pull(p.coloop)
-		}
-		return
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.coloop)
 	}
-	// Switching a recycled pull-mode Proc to the serial path: unwind its
-	// parked coroutine first so it cannot leak behind the channel pair.
-	p.stopCoro()
-	if p.resume == nil {
-		p.resume = make(chan struct{})
-		p.yield = make(chan yieldMsg)
-	}
-	go func() {
-		<-p.resume
-		defer func() {
-			if r := recover(); r != nil {
-				if r == errAborted { //nolint:errorlint // sentinel identity is intended
-					p.yield <- yieldMsg{kind: yieldFinished, cost: p.env.pending}
-					return
-				}
-				p.yield <- yieldMsg{kind: yieldPanicked, pval: r, stack: debug.Stack()}
-				return
-			}
-			p.yield <- yieldMsg{kind: yieldFinished, cost: p.env.pending}
-		}()
-		p.spec.Body(p.env)
-	}()
 }
 
-// coloop is the persistent pull-mode coroutine: one job body per resume,
-// parking at the body's final yield until the scheduler installs the next
-// body (Proc recycling across Reset — see takeProc) or unwinds the loop
-// (stopCoro makes the parked yield return false). iter.Pull guarantees the
-// coroutine is suspended whenever the scheduler runs (next() and yield()
-// form a strict rendezvous), so the exclusivity argument of the channel
-// pair carries over unchanged. Persisting the coroutine across schedules
-// removes the per-run iter.Pull construction — coroutine, stack and
-// closure — that dominated the sweep-mode allocation profile.
+// coloop is the persistent coroutine: one job body per resume, parking at
+// the body's final yield until the scheduler installs the next body (Proc
+// recycling across Reset — see takeProc) or unwinds the loop (stopCoro
+// makes the parked yield return false). iter.Pull guarantees the coroutine
+// is suspended whenever the scheduler runs (next() and yield() form a
+// strict rendezvous), so exactly one side touches simulator state at a
+// time. Persisting the coroutine across schedules removes the per-run
+// iter.Pull construction — coroutine, stack and closure — that dominated
+// the sweep-mode allocation profile.
 func (p *Proc) coloop(yield func(yieldMsg) bool) {
 	for yield(p.runBody(yield)) {
 	}
@@ -739,24 +685,19 @@ func (p *Proc) coloop(yield func(yieldMsg) bool) {
 // completed one; coloop's closing yield then reports it or returns false.
 func (p *Proc) runBody(yield func(yieldMsg) bool) (msg yieldMsg) {
 	e := p.env
-	e.yieldFast = yield
+	e.yield = yield
 	defer func() {
-		e.yieldFast = nil
-		if r := recover(); r != nil {
-			if r == errAborted { //nolint:errorlint // sentinel identity is intended
-				msg = yieldMsg{kind: yieldFinished, cost: e.pending}
-				return
-			}
-			msg = yieldMsg{kind: yieldPanicked, pval: r, stack: debug.Stack()}
-			return
-		}
+		e.yield = nil
 		msg = yieldMsg{kind: yieldFinished, cost: e.pending}
+		if r := recover(); r != nil && r != errAborted { //nolint:errorlint // sentinel identity is intended
+			msg = yieldMsg{kind: yieldPanicked, pval: r, stack: debug.Stack()}
+		}
 	}()
 	p.spec.Body(e)
 	return
 }
 
-// stopCoro unwinds a parked pull-mode coroutine: iter.Pull's stop makes
+// stopCoro unwinds a parked coroutine: iter.Pull's stop makes
 // the pending yield return false, which ends coloop (a mid-body park
 // unwinds through the errAborted sentinel first). No-op without one. Only
 // call while the coroutine is suspended — after Run has returned, or on a
@@ -774,21 +715,13 @@ func (s *Sim) runSlice(c *cpuState, p *Proc) {
 	s.startIfNeeded(p)
 	p.Slices++
 	s.mem.SetCurrentProc(p.id)
-	var msg yieldMsg
-	if p.next != nil {
-		m, ok := p.next()
-		if !ok {
-			// Defensive: a pull coroutine only finishes without a message
-			// when stopped; treat it as completed.
-			m = yieldMsg{kind: yieldFinished}
-		}
-		// On a final message the coroutine stays parked inside coloop's
-		// closing yield, ready for the Proc's next body (takeProc) —
-		// Release unwinds it before pooling the Sim.
-		msg = m
-	} else {
-		p.resume <- struct{}{}
-		msg = <-p.yield
+	// On a final message the coroutine stays parked inside coloop's closing
+	// yield, ready for the Proc's next body (takeProc) — Release unwinds it
+	// before pooling the Sim. It only ends without a message when stopped,
+	// which runSlice never sees; treat that defensively as completion.
+	msg, ok := p.next()
+	if !ok {
+		msg = yieldMsg{kind: yieldFinished}
 	}
 	s.mem.SetCurrentProc(-1)
 	if p.env.horizon > 0 {
@@ -829,8 +762,8 @@ func (s *Sim) runSlice(c *cpuState, p *Proc) {
 			s.failure = fmt.Errorf("sched: process %q (id %d) panicked: %v\n%s", p.spec.Name, p.id, msg.pval, msg.stack)
 		}
 	}
-	// Note: p.env.pending is owned by the coroutine goroutine (reset in
-	// yieldNow before the send); the scheduler must not touch it.
+	// Note: p.env.pending is owned by the coroutine (reset in yieldNow
+	// before it yields); the scheduler must not touch it.
 }
 
 // Run executes the simulation until every released job completes. It returns
@@ -956,21 +889,15 @@ func (s *Sim) rebuildOccupancy() {
 //     Both are strict-< continuations: at equality the coroutine hands back
 //     and the scheduler re-decides, exactly like the serial loop.
 //   - the ready set of c cannot change during the batch (no arrivals below
-//     the horizon/budget), and a grant is refused when a higher-priority
-//     process is already waiting (only a lapsing NoPreempt section keeps p
-//     running, and it may lapse at any slice boundary).
+//     the horizon/budget) and keys are static (Policy), so pick decides as
+//     it did at every boundary — unless a waiting process that Preempts p
+//     is held off by an open NoPreempt section, which may lapse at any
+//     slice boundary: the grant is refused then. None of this uses the
+//     priority order, so the grant is sound under every policy.
 func (s *Sim) grantRunAhead(c *cpuState, p *Proc) {
 	e := p.env
 	e.budget, e.horizon = 0, 0
-	if !runAheadEnabled || !s.policyRunAhead {
-		// Preemptive non-default policies take the serial loop: the
-		// grant's soundness argument below leans on preemption being
-		// either the strict-priority rule or absent. NonPreemptive
-		// templates batch too — their Preempts is constantly false, so
-		// the waiting-process refusal below is vacuous and the ready set
-		// still cannot change inside a grant. Both paths are
-		// byte-identical whenever the grant is armed, so this gate only
-		// costs speed, never correctness.
+	if !runAheadEnabled {
 		return
 	}
 	if len(c.ready) > 0 && s.policy.Preempts(c.ready[0].key, p.key) {
@@ -1035,24 +962,14 @@ func (s *Sim) shutdown() {
 		if !p.started || p.state == stateDone || p.state == stateUnreleased {
 			continue
 		}
-		// Resume; the coroutine observes aborting at its next
-		// preemption point and unwinds via the errAborted sentinel.
-		if p.next != nil {
-			// Resume until the body unwinds (errAborted at the next
-			// preemption point surfaces as its final yield); the loop
-			// then parks for reuse, like a normal completion.
-			for {
-				m, ok := p.next()
-				if !ok || m.kind != yieldPoint {
-					break
-				}
-			}
-		} else {
-			p.resume <- struct{}{}
-			msg := <-p.yield
-			for msg.kind == yieldPoint {
-				p.resume <- struct{}{}
-				msg = <-p.yield
+		// Resume until the body unwinds: the coroutine observes aborting
+		// at its next preemption point, and the errAborted sentinel
+		// surfaces as its final yield. The loop then parks for reuse, like
+		// a normal completion.
+		for {
+			m, ok := p.next()
+			if !ok || m.kind != yieldPoint {
+				break
 			}
 		}
 		p.state = stateDone
