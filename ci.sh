@@ -10,7 +10,7 @@
 # Everything is stdlib-only and deterministic, so a green run on one
 # machine is a green run on all. Then end-to-end smokes into artifacts/
 # (which stays out of git): the paper's experiment table against its
-# committed golden, the Figure 2 trace export, the
+# committed golden, the Figure 2 trace exports (perfetto, gantt, csv), the
 # parallel-vs-serial byte-identity of wfcheck's sweep output (with and
 # without -cover), the wfbench full-matrix sweep (which asserts the same
 # identity internally and records timing plus schedule-space coverage in
@@ -47,6 +47,13 @@ mkdir -p artifacts
 go build -o /dev/null ./cmd/wftrace
 go run ./cmd/wftrace -object unilist -seed 1 -pattern stagger -export perfetto -o artifacts/fig2.trace.json
 test -s artifacts/fig2.trace.json
+# The same Figure 2 run as the raw event log plus Gantt chart (whose cpu0
+# row opens with the victim p) and as CSV.
+go run ./cmd/wftrace -object unilist -seed 1 -pattern stagger -export gantt -o artifacts/fig2.gantt.txt
+test -s artifacts/fig2.gantt.txt
+grep -q '^cpu0 p' artifacts/fig2.gantt.txt
+go run ./cmd/wftrace -object unilist -seed 1 -pattern stagger -export csv -o artifacts/fig2.csv
+test -s artifacts/fig2.csv
 
 go run ./cmd/wfcheck -max 40 -par 1 > artifacts/wfcheck_serial.txt
 go run ./cmd/wfcheck -max 40 -par 0 > artifacts/wfcheck_par.txt

@@ -348,26 +348,18 @@ func objectReportRun(name string, seed int64) (*sched.Sim, error) {
 	if err != nil {
 		return nil, err
 	}
-	run := func(slot, n int) func(e *sched.Env) {
-		ops := d.Ops(cfg, seed, slot, n)
-		return func(e *sched.Env) {
-			for _, op := range ops {
-				start := e.Now()
-				inst.Apply(e, slot, op)
-				e.RecordOp(e.Now() - start)
-			}
-		}
+	// Long base jobs at time zero, short bursts at the two release points.
+	names, lens := []string{"base", "burst1", "burst2"}, []int{20, 5, 5}
+	rel := []arrival.Release{arrival.Now, burstRel[0], burstRel[1]}
+	if d.Family == registry.FamilyMulti {
+		names, lens = []string{"w0", "w1", "burst0", "burst1"}, []int{20, 20, 5, 5}
+		rel = []arrival.Release{arrival.Now, arrival.Now, burstRel[0], burstRel[1]}
 	}
-	if d.Family == registry.FamilyUni {
-		s.Spawn(sched.JobSpec{Name: "base", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Cost: 20, Body: run(0, 20)})
-		s.Spawn(sched.JobSpec{Name: "burst1", CPU: 0, Prio: 5, Slot: 1, AfterSlices: burstRel[0].AfterSlices, At: burstRel[0].At, Cost: 5, Body: run(1, 5)})
-		s.Spawn(sched.JobSpec{Name: "burst2", CPU: 0, Prio: 9, Slot: 2, AfterSlices: burstRel[1].AfterSlices, At: burstRel[1].At, Cost: 5, Body: run(2, 5)})
-	} else {
-		s.Spawn(sched.JobSpec{Name: "w0", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Cost: 20, Body: run(0, 20)})
-		s.Spawn(sched.JobSpec{Name: "w1", CPU: 1, Prio: 1, Slot: 1, AfterSlices: -1, Cost: 20, Body: run(1, 20)})
-		s.Spawn(sched.JobSpec{Name: "burst0", CPU: 0, Prio: 9, Slot: 2, AfterSlices: burstRel[0].AfterSlices, At: burstRel[0].At, Cost: 5, Body: run(2, 5)})
-		s.Spawn(sched.JobSpec{Name: "burst1", CPU: 1, Prio: 9, Slot: 3, AfterSlices: burstRel[1].AfterSlices, At: burstRel[1].At, Cost: 5, Body: run(3, 5)})
+	scripts := make([][]registry.Op, len(names))
+	for slot, n := range lens {
+		scripts[slot] = d.Ops(cfg, seed, slot, n)
 	}
+	d.Cast(names, scripts, rel).Spawn(s, inst)
 	if err := s.Run(); err != nil {
 		return nil, err
 	}

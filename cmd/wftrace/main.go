@@ -8,6 +8,8 @@
 //	wftrace -object uniqueue -seed 1                  # span report on stdout
 //	wftrace -object unilist -pattern stagger -export perfetto -o fig2.trace.json
 //	wftrace -object multiqueue -export text           # deterministic text form
+//	wftrace -object unilist -export gantt             # Figure 2: event log + Gantt chart
+//	wftrace -object unilist -export csv               # raw event log as CSV
 //	wftrace -linz -object uniqueue -seed 7 -strategy pct  # replay an adversary schedule
 //
 // The -linz mode replays one randomized adversary schedule (the same
@@ -30,6 +32,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -41,6 +44,7 @@ import (
 	"repro/internal/registry"
 	"repro/internal/scenario"
 	"repro/internal/sched"
+	"repro/internal/trace"
 	"repro/internal/tracex"
 )
 
@@ -50,8 +54,8 @@ func main() {
 	pat := flag.String("pattern", "stagger", "preemption pattern: "+strings.Join(scenario.Patterns(), "|"))
 	policy := flag.String("policy", "", "scheduling policy (default: the paper's strict-priority model)")
 	arrivalName := flag.String("arrival", "", "arrival trace for the adversary/burst releases: "+strings.Join(arrival.Names(), "|")+" (default: -pattern)")
-	export := flag.String("export", "", "also export the span model: perfetto|text")
-	out := flag.String("o", "", "export path (default <object>.trace.json or <object>.trace.txt)")
+	export := flag.String("export", "", "also export the trace: perfetto|text|gantt|csv")
+	out := flag.String("o", "", "export path (default <object>.trace.<json|txt|gantt.txt|csv>)")
 	report := flag.Bool("report", false, "print the run report after the span summary")
 	linzMode := flag.Bool("linz", false, "replay one randomized adversary schedule and print its black-box history and verdict")
 	strategy := flag.String("strategy", "uniform", "adversary strategy in -linz mode: uniform|pct")
@@ -118,20 +122,7 @@ func runNative(object string, seed int64, procs, ops int, export, out string, re
 		}
 	}
 
-	switch export {
-	case "":
-		return nil
-	case "perfetto":
-		b, err := t.Perfetto()
-		if err != nil {
-			return err
-		}
-		return write(defaultPath(out, object+".native.trace.json"), b)
-	case "text":
-		return write(defaultPath(out, object+".native.trace.txt"), []byte(t.Text()))
-	default:
-		return fmt.Errorf("unknown export format %q (want perfetto or text)", export)
-	}
+	return exportTrace(res.TraceLog, t, export, out, object+".native")
 }
 
 // runLinz replays one adversary schedule with tracing on: the reproducer
@@ -158,21 +149,7 @@ func runLinz(object string, seed int64, strategy, policy, export, out string) er
 		fmt.Print(verdict.Counterexample.Tree(r.History))
 	}
 
-	t := tracex.Build(r.Sim.Trace())
-	switch export {
-	case "":
-		return nil
-	case "perfetto":
-		b, err := t.Perfetto()
-		if err != nil {
-			return err
-		}
-		return write(defaultPath(out, object+".linz.trace.json"), b)
-	case "text":
-		return write(defaultPath(out, object+".linz.trace.txt"), []byte(t.Text()))
-	default:
-		return fmt.Errorf("unknown export format %q (want perfetto or text)", export)
-	}
+	return exportTrace(r.Sim.Trace(), tracex.Build(r.Sim.Trace()), export, out, object+".linz")
 }
 
 func run(object string, seed int64, pat, policy, arrivalName, export, out string, report bool) error {
@@ -202,20 +179,42 @@ func run(object string, seed int64, pat, policy, arrivalName, export, out string
 		}
 	}
 
+	return exportTrace(s.Trace(), t, export, out, object)
+}
+
+// exportTrace writes the run's trace in the named format to out, or to
+// <stem>.trace.<ext> when out is empty: perfetto and text render the span
+// model t; gantt is the raw event log followed by a per-process Gantt
+// chart (the paper's Figure 2 view); csv is the raw event log as CSV.
+func exportTrace(log *trace.Log, t *tracex.Trace, export, out, stem string) error {
+	var b []byte
+	var ext string
 	switch export {
 	case "":
 		return nil
 	case "perfetto":
-		b, err := t.Perfetto()
-		if err != nil {
+		var err error
+		if b, err = t.Perfetto(); err != nil {
 			return err
 		}
-		return write(defaultPath(out, object+".trace.json"), b)
+		ext = "json"
 	case "text":
-		return write(defaultPath(out, object+".trace.txt"), []byte(t.Text()))
+		b, ext = []byte(t.Text()), "txt"
+	case "gantt":
+		var buf bytes.Buffer
+		log.WriteTo(&buf) // a bytes.Buffer write cannot fail
+		buf.WriteString("\n" + log.Gantt(72))
+		b, ext = buf.Bytes(), "gantt.txt"
+	case "csv":
+		var buf bytes.Buffer
+		if err := log.WriteCSV(&buf); err != nil {
+			return err
+		}
+		b, ext = buf.Bytes(), "csv"
 	default:
-		return fmt.Errorf("unknown export format %q (want perfetto or text)", export)
+		return fmt.Errorf("unknown export format %q (want perfetto, text, gantt or csv)", export)
 	}
+	return write(defaultPath(out, stem+".trace."+ext), b)
 }
 
 // policySuffix renders " policy=<name>" for off-default policies and ""

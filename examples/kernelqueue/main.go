@@ -124,7 +124,7 @@ func lockedKernel() error {
 	err = sim.Run()
 	if errors.Is(err, sched.ErrWatchdog) {
 		fmt.Println("DEADLOCK (watchdog): a handler interrupted the lock holder and now")
-		fmt.Printf("spins forever (%d spins recorded). This is why the Synthesis and\n", queue.Spins)
+		fmt.Printf("spins forever (%d spins recorded). This is why the Synthesis and\n", queue.Spins.Load())
 		fmt.Println("Cache kernels went lock-free, and what wait-freedom fixes outright.")
 		return nil
 	}

@@ -31,6 +31,9 @@ type Release struct {
 	At          int64
 }
 
+// Now is the immediate time-zero release.
+var Now = Release{AfterSlices: -1}
+
 // Immediate reports whether the release is a time-zero release.
 func (r Release) Immediate() bool { return r.AfterSlices < 0 && r.At == 0 }
 
@@ -78,7 +81,7 @@ func (none) Name() string { return "none" }
 func (none) Releases(n int, seed int64) []Release {
 	out := make([]Release, n)
 	for i := range out {
-		out[i] = Release{AfterSlices: -1}
+		out[i] = Now
 	}
 	return out
 }

@@ -12,6 +12,7 @@ package locklist
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/shmem"
@@ -31,7 +32,8 @@ type List struct {
 	first, last arena.Ref
 
 	// Spins counts lock-acquisition spin iterations (contention metric).
-	Spins int
+	// It is atomic because native-backend goroutines spin concurrently.
+	Spins atomic.Int64
 }
 
 // New creates a list for processes that allocate from ar.
@@ -61,7 +63,7 @@ func (l *List) Unlock(e shmem.Ctx) { l.release(e) }
 // acquire spins on the test-and-set lock.
 func (l *List) acquire(e shmem.Ctx) {
 	for !e.CAS(l.lock, 0, 1) {
-		l.Spins++
+		l.Spins.Add(1)
 		e.Yield() // a preemption point; the spin burns processor time
 	}
 }

@@ -78,28 +78,50 @@ func TestMultiprocessorWithoutPreemptionWorks(t *testing.T) {
 // a higher-priority process spinning on a lock held by a preempted
 // lower-priority process spins forever. The run's step watchdog detects the
 // livelock. This is the motivating failure for wait-free kernel objects
-// (Section 1).
+// (Section 1). Under fcfs the same run completes: a non-preemptive policy
+// never lets the spinner displace the lock holder, so the failure is the
+// priority model's, not the lock's alone.
 func TestPriorityInversionLivelock(t *testing.T) {
-	s := sched.New(sched.Config{Processors: 1, Seed: 1, MemWords: 1 << 16, MaxSteps: 200_000})
-	_, l := newList(t, s, 2, 128)
-	// Low priority: holds the lock across a long critical section.
-	s.Spawn(sched.JobSpec{Name: "low", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
-		l.Lock(e)
-		for i := 1; i <= 100; i++ {
-			e.Yield() // critical-section work with preemption points
-		}
-		l.Unlock(e)
-	}})
-	// High priority: arrives mid-critical-section and spins forever.
-	s.Spawn(sched.JobSpec{Name: "high", CPU: 0, Prio: 9, Slot: 1, AfterSlices: 40, Body: func(e *sched.Env) {
-		l.Search(e, 1)
-	}})
-	err := s.Run()
-	if !errors.Is(err, sched.ErrWatchdog) {
-		t.Fatalf("Run err = %v, want watchdog livelock (unbounded priority inversion)", err)
-	}
-	if l.Spins == 0 {
-		t.Error("no spins recorded; the high-priority process never contended")
+	for _, tc := range []struct {
+		policy   string
+		livelock bool
+	}{
+		{"priority", true},
+		{"fcfs", false},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			pol, err := sched.PolicyByName(tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := sched.New(sched.Config{Processors: 1, Seed: 1, MemWords: 1 << 16, MaxSteps: 200_000, Policy: pol})
+			_, l := newList(t, s, 2, 128)
+			// Low priority: holds the lock across a long critical section.
+			s.Spawn(sched.JobSpec{Name: "low", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: func(e *sched.Env) {
+				l.Lock(e)
+				for i := 1; i <= 100; i++ {
+					e.Yield() // critical-section work with preemption points
+				}
+				l.Unlock(e)
+			}})
+			// High priority: arrives mid-critical-section.
+			s.Spawn(sched.JobSpec{Name: "high", CPU: 0, Prio: 9, Slot: 1, AfterSlices: 40, Body: func(e *sched.Env) {
+				l.Search(e, 1)
+			}})
+			err = s.Run()
+			if !tc.livelock {
+				if err != nil {
+					t.Fatalf("Run err = %v, want completion (the lock holder is never preempted)", err)
+				}
+				return
+			}
+			if !errors.Is(err, sched.ErrWatchdog) {
+				t.Fatalf("Run err = %v, want watchdog livelock (unbounded priority inversion)", err)
+			}
+			if l.Spins.Load() == 0 {
+				t.Error("no spins recorded; the high-priority process never contended")
+			}
+		})
 	}
 }
 

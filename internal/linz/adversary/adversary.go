@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/arrival"
 	"repro/internal/cover"
 	"repro/internal/linz"
 	"repro/internal/registry"
@@ -217,23 +218,17 @@ func Execute(cfg Config) (*Run, error) {
 	// One dedicated rng for schedule construction, salted by strategy so
 	// uniform and pct runs of one seed differ.
 	rng := rand.New(rand.NewSource(cfg.Seed*0x9e3779b9 + int64(cfg.Strategy)))
-	body := func(slot, n int) func(*sched.Env) {
-		ops := d.Ops(icfg, cfg.Seed, slot, n)
-		return func(e *sched.Env) {
-			for _, op := range ops {
-				wrapped.Apply(e, slot, op)
-			}
-		}
-	}
+	var cast registry.Cast
 	switch cfg.Strategy {
 	case Uniform:
-		spawnUniform(sim, d, cfg, rng, body)
+		cast = uniformCast(d, icfg, cfg, procs, rng)
 	case PCT:
-		spawnPCT(sim, d, cfg, rng, body)
+		cast = pctCast(d, icfg, cfg, procs, rng)
 	default:
 		sched.Release(sim)
 		return nil, fmt.Errorf("adversary: unknown strategy %v", cfg.Strategy)
 	}
+	cast.Spawn(sim, wrapped)
 	if err := sim.Run(); err != nil {
 		// Run has returned, so every coroutine has unwound and the Sim
 		// can be pooled even on a failed schedule.
@@ -247,47 +242,46 @@ func Execute(cfg Config) (*Run, error) {
 	return run, nil
 }
 
-// spawnUniform releases every worker at an independent uniform slice
+// uniformCast releases every worker at an independent uniform slice
 // count. Core families get distinct random priorities (so a later release
 // preempts mid-operation); baselines run at equal priority.
-func spawnUniform(sim *sched.Sim, d *registry.Descriptor, cfg Config, rng *rand.Rand, body func(slot, n int) func(*sched.Env)) {
+func uniformCast(d *registry.Descriptor, icfg registry.Config, cfg Config, procs int, rng *rand.Rand) registry.Cast {
 	perm := rng.Perm(cfg.Workers)
-	for i := 0; i < cfg.Workers; i++ {
+	cast := make(registry.Cast, cfg.Workers)
+	for i := range cast {
 		prio := sched.Priority(1 + perm[i])
 		if d.Family == registry.FamilyBaseline {
 			prio = 1
 		}
 		cpu := 0
-		if sim.Processors() > 1 {
-			cpu = rng.Intn(sim.Processors())
+		if procs > 1 {
+			cpu = rng.Intn(procs)
 		}
-		rel := rng.Int63n(cfg.Horizon)
-		sim.Spawn(sched.JobSpec{
+		cast[i] = registry.Job{
 			Name: fmt.Sprintf("w%d", i), CPU: cpu, Prio: prio, Slot: i,
-			AfterSlices: rel, Cost: int64(cfg.Ops), Body: body(i, cfg.Ops),
-		})
+			Release: arrival.Release{AfterSlices: rng.Int63n(cfg.Horizon)},
+			Ops:     d.Ops(icfg, cfg.Seed, i, cfg.Ops),
+		}
 	}
+	return cast
 }
 
-// spawnPCT starts the base workers together under a random priority
+// pctCast starts the base workers together under a random priority
 // permutation and releases one strictly-higher-priority booster per change
 // point. For baselines every priority collapses to 1 (see the package
 // comment), degrading the boosters to staggered extra workers.
-func spawnPCT(sim *sched.Sim, d *registry.Descriptor, cfg Config, rng *rand.Rand, body func(slot, n int) func(*sched.Env)) {
+func pctCast(d *registry.Descriptor, icfg registry.Config, cfg Config, procs int, rng *rand.Rand) registry.Cast {
 	base := d.Family != registry.FamilyBaseline
 	perm := rng.Perm(cfg.Workers)
+	cast := make(registry.Cast, 0, cfg.Workers+cfg.Boosters)
 	for i := 0; i < cfg.Workers; i++ {
 		prio := sched.Priority(1)
 		if base {
 			prio = sched.Priority(1 + perm[i])
 		}
-		cpu := 0
-		if sim.Processors() > 1 {
-			cpu = i % sim.Processors()
-		}
-		sim.Spawn(sched.JobSpec{
-			Name: fmt.Sprintf("w%d", i), CPU: cpu, Prio: prio, Slot: i,
-			AfterSlices: -1, Cost: int64(cfg.Ops), Body: body(i, cfg.Ops),
+		cast = append(cast, registry.Job{
+			Name: fmt.Sprintf("w%d", i), CPU: i % procs, Prio: prio, Slot: i,
+			Release: arrival.Now, Ops: d.Ops(icfg, cfg.Seed, i, cfg.Ops),
 		})
 	}
 	for j := 0; j < cfg.Boosters; j++ {
@@ -296,14 +290,15 @@ func spawnPCT(sim *sched.Sim, d *registry.Descriptor, cfg Config, rng *rand.Rand
 			prio = sched.Priority(1 + cfg.Workers + j)
 		}
 		cpu := 0
-		if sim.Processors() > 1 {
-			cpu = rng.Intn(sim.Processors())
+		if procs > 1 {
+			cpu = rng.Intn(procs)
 		}
-		rel := rng.Int63n(cfg.Horizon)
 		slot := cfg.Workers + j
-		sim.Spawn(sched.JobSpec{
+		cast = append(cast, registry.Job{
 			Name: fmt.Sprintf("b%d", j), CPU: cpu, Prio: prio, Slot: slot,
-			AfterSlices: rel, Cost: boosterOps, Body: body(slot, boosterOps),
+			Release: arrival.Release{AfterSlices: rng.Int63n(cfg.Horizon)},
+			Ops:     d.Ops(icfg, cfg.Seed, slot, boosterOps),
 		})
 	}
+	return cast
 }

@@ -339,7 +339,7 @@ func (r *Report) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteText pretty-prints the report for terminals (cmd/wfsim -report).
+// WriteText pretty-prints the report for terminals (cmd/wftrace -report).
 func (r *Report) WriteText(w io.Writer) error {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "run report: %s (seed %d, P=%d, %s, synccost %d)\n",

@@ -7,8 +7,8 @@ import (
 )
 
 // sweepAllocsCap bounds the allocations one swept schedule may perform
-// (instance Build + checker state; the sweeper itself must contribute
-// nothing per schedule). The burn-down that introduced the sweeper brought
+// (instance Build + checker state; the sweeper itself contributes only the
+// cast's respawn: one body closure per job plus the returned proc slice). The burn-down that introduced the sweeper brought
 // the real figures to 19–87 allocs/schedule (object-dependent; unimwcas's
 // universal-construction Build is the ceiling) from several hundred; the
 // cap has headroom for noise but fails long before the old per-schedule
@@ -18,8 +18,8 @@ const sweepAllocsCap = 100
 
 // TestSweepAllocsPerSchedule pins the per-schedule allocation count of the
 // sweep driver for every core object, in both scheduler modes: op scripts,
-// job specs, body closures, signature computation and the pooled Sim are
-// all per-sweep costs, so a schedule pays only for its object instance.
+// the cast, signature computation and the pooled Sim are all per-sweep
+// costs, so a schedule pays only for its object instance and its spawn.
 func TestSweepAllocsPerSchedule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation counting is exact but slow across all objects")

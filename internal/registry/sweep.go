@@ -10,11 +10,11 @@ package registry
 // (Config.Check).
 //
 // The driver is built to amortize: everything a schedule does not depend on
-// — op scripts, the policy and arrival trace, the job-spec cast, the body
-// closures, and the pooled simulation itself — is constructed once per sweep
-// and reused across every schedule (see sweeper). Per schedule only the
-// object instance is rebuilt and the release vector patched in, which is
-// what lets sweeps run at the simulator core's run-ahead speed.
+// — op scripts, the policy and arrival trace, the cast, and the pooled
+// simulation itself — is constructed once per sweep and reused across every
+// schedule (see sweeper). Per schedule only the object instance is rebuilt,
+// the release vector patched in and the cast respawned, which is what lets
+// sweeps run at the simulator core's run-ahead speed.
 
 import (
 	"fmt"
@@ -124,30 +124,23 @@ func (d *Descriptor) SweepSpace(cfg SweepConfig) (int, error) {
 }
 
 // sweeper carries the per-sweep state shared by every schedule: the pooled
-// simulation, the hoisted op scripts, the job-spec cast and the body
-// closures. A schedule only rebuilds the object instance and patches the
-// adversaries' release points, so per-schedule allocation stays near the
-// instance's own footprint (pinned by TestSweepAllocsPerSchedule).
+// simulation, the hoisted op scripts and the cast. A schedule only rebuilds
+// the object instance, patches the adversaries' release points and respawns
+// the cast, so per-schedule allocation stays near the instance's own
+// footprint (pinned by TestSweepAllocsPerSchedule).
 type sweeper struct {
 	d    *Descriptor
 	cfg  SweepConfig
 	icfg Config
 	scfg sched.Config
 	sim  *sched.Sim
-	// inst is the current schedule's instance; the body closures read it
-	// through the sweeper so they are built once for the whole sweep.
-	inst Instance
-	// specs is the cast in spawn order; adv[i] indexes the two specs
-	// whose AfterSlices carries the swept vector.
-	specs []sched.JobSpec
-	adv   [2]int
-	// advProc holds the adversaries' procs for the current schedule, for
-	// the pruner's quiescent-release question.
-	advProc [2]*sched.Proc
+	// cast is the schedule's job list; its last two jobs are the
+	// adversaries, whose releases carry the swept vector.
+	cast Cast
 }
 
 // newSweeper resolves the policy and arrival trace, generates the op
-// scripts, and precomputes the cast. It acquires a pooled simulation; the
+// scripts, and declares the cast. It acquires a pooled simulation; the
 // caller must call sw.close.
 func (d *Descriptor) newSweeper(cfg SweepConfig) (*sweeper, error) {
 	if d.Family == FamilyBaseline {
@@ -161,9 +154,9 @@ func (d *Descriptor) newSweeper(cfg SweepConfig) (*sweeper, error) {
 	if seed == 0 {
 		seed = sweepSeed
 	}
-	// The base workers' releases come from the named arrival trace; a nil
-	// trace (no -arrival) keeps the legacy immediate release.
-	var base []arrival.Release
+	// The base workers release immediately unless a named arrival trace
+	// reshapes them; the adversaries' releases are patched per schedule.
+	base := []arrival.Release{arrival.Now, arrival.Now}
 	if cfg.Arrival != "" {
 		trc, err := arrival.ByName(cfg.Arrival)
 		if err != nil {
@@ -176,52 +169,23 @@ func (d *Descriptor) newSweeper(cfg SweepConfig) (*sweeper, error) {
 	// once for the whole sweep instead of reseeding a generator in every
 	// schedule.
 	icfg := d.StressConfig(4)
-	scripts := make([][]Op, 4)
+	names := []string{"victim", "adv", "adv2"}
+	rel := []arrival.Release{base[0], {}, {}}
+	procs, memWords := 1, 1<<15
+	if d.Family == FamilyMulti {
+		names = []string{"w0", "w1", "adv", "adv2"}
+		rel = []arrival.Release{base[0], base[1], {}, {}}
+		procs, memWords = 2, 1<<16
+	}
+	scripts := make([][]Op, len(names))
 	for slot := range scripts {
 		n := sweepVictimOps
-		if (d.Family == FamilyUni && slot >= 1) || (d.Family == FamilyMulti && slot >= 2) {
+		if slot >= len(names)-2 {
 			n = sweepAdvOps
 		}
 		scripts[slot] = d.Ops(icfg, seed, slot, n)
 	}
-	sw := &sweeper{d: d, cfg: cfg, icfg: icfg}
-	body := func(slot int) func(e *sched.Env) {
-		ops := scripts[slot]
-		return func(e *sched.Env) {
-			for _, op := range ops {
-				sw.inst.Apply(e, slot, op)
-			}
-		}
-	}
-	cost := func(slot int) int64 { return int64(len(scripts[slot])) }
-	// Base workers release immediately unless an arrival trace reshapes
-	// them; the adversaries always carry the swept vector.
-	baseRel := func(i int) arrival.Release {
-		if i < len(base) {
-			return base[i]
-		}
-		return arrival.Release{AfterSlices: -1}
-	}
-	procs, memWords := 1, 1<<15
-	if d.Family == FamilyUni {
-		b := baseRel(0)
-		sw.specs = []sched.JobSpec{
-			{Name: "victim", CPU: 0, Prio: 1, Slot: 0, AfterSlices: b.AfterSlices, At: b.At, Cost: cost(0), Body: body(0)},
-			{Name: "adv", CPU: 0, Prio: 5, Slot: 1, Cost: cost(1), Body: body(1)},
-			{Name: "adv2", CPU: 0, Prio: 9, Slot: 2, Cost: cost(2), Body: body(2)},
-		}
-		sw.adv = [2]int{1, 2}
-	} else {
-		procs, memWords = 2, 1<<16
-		b0, b1 := baseRel(0), baseRel(1)
-		sw.specs = []sched.JobSpec{
-			{Name: "w0", CPU: 0, Prio: 1, Slot: 0, AfterSlices: b0.AfterSlices, At: b0.At, Cost: cost(0), Body: body(0)},
-			{Name: "w1", CPU: 1, Prio: 1, Slot: 1, AfterSlices: b1.AfterSlices, At: b1.At, Cost: cost(1), Body: body(1)},
-			{Name: "adv", CPU: 0, Prio: 9, Slot: 2, Cost: cost(2), Body: body(2)},
-			{Name: "adv2", CPU: 1, Prio: 9, Slot: 3, Cost: cost(3), Body: body(3)},
-		}
-		sw.adv = [2]int{2, 3}
-	}
+	sw := &sweeper{d: d, cfg: cfg, icfg: icfg, cast: d.Cast(names, scripts, rel)}
 	sw.scfg = sched.Config{
 		Processors: procs, Seed: seed, MemWords: memWords,
 		EnableTrace: cfg.Trace, Policy: pol,
@@ -244,24 +208,17 @@ func (sw *sweeper) runOne(rel []int64) (explore.RunInfo, error) {
 	if err != nil {
 		return info, err
 	}
-	sw.inst = inst
-	sw.specs[sw.adv[0]].AfterSlices = rel[0]
-	sw.specs[sw.adv[1]].AfterSlices = rel[1]
-	for i := range sw.specs {
-		p := s.Spawn(sw.specs[i])
-		if i == sw.adv[0] {
-			sw.advProc[0] = p
-		} else if i == sw.adv[1] {
-			sw.advProc[1] = p
-		}
-	}
+	adv := len(sw.cast) - 2
+	sw.cast[adv].Release.AfterSlices = rel[0]
+	sw.cast[adv+1].Release.AfterSlices = rel[1]
+	procs := sw.cast.Spawn(s, inst)
 	if err := s.Run(); err != nil {
 		return info, dumpFailure(s, sw.cfg, fmt.Errorf("%s rel=%v: %w", sw.d.Name, rel, err))
 	}
 	if err := inst.CheckErr(); err != nil {
 		return info, dumpFailure(s, sw.cfg, fmt.Errorf("%s rel=%v: %w", sw.d.Name, rel, err))
 	}
-	for i, p := range sw.advProc {
+	for i, p := range procs[adv:] {
 		if p.QuiescentRelease() {
 			info.QuiescentFrom = i
 			break

@@ -17,6 +17,7 @@ package scenario
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arrival"
 	"repro/internal/helping"
@@ -127,49 +128,30 @@ func build(d *registry.Descriptor, cfg Config, trc arrival.Trace, pol sched.Poli
 	if err != nil {
 		return nil, err
 	}
-	body := func(slot int) func(e *sched.Env) {
-		script := spec.Scripts[slot]
-		return func(e *sched.Env) {
-			for _, op := range script {
-				inst.Apply(e, slot, op)
-			}
-		}
-	}
-	cost := func(slot int) int64 { return int64(len(spec.Scripts[slot])) }
-	rel := trc.Releases(2, cfg.Seed)
-	if d.Family == registry.FamilyUni {
-		spawnUniTrio(s, rel, body, cost)
-	} else {
-		spawnMultiCast(s, rel, body, cost)
-	}
+	cast(d, trc.Releases(2, cfg.Seed)).Spawn(s, inst)
 	return s, nil
 }
 
-// spawnUniTrio spawns the Figure 2 cast on cpu0: a low-priority victim
-// released at time zero and two adversaries released at the trace's two
-// points, each performing one script through the given bodies.
-func spawnUniTrio(s *sched.Sim, rel []arrival.Release, body func(int) func(*sched.Env), cost func(int) int64) {
-	s.Spawn(sched.JobSpec{Name: "p", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Cost: cost(0), Body: body(0)})
-	s.Spawn(sched.JobSpec{Name: "q", CPU: 0, Prio: 5, Slot: 1, AfterSlices: rel[0].AfterSlices, At: rel[0].At, Cost: cost(1), Body: body(1)})
-	s.Spawn(sched.JobSpec{Name: "r", CPU: 0, Prio: 9, Slot: 2, AfterSlices: rel[1].AfterSlices, At: rel[1].At, Cost: cost(2), Body: body(2)})
-}
+// burstLen is the compute time of a multiprocessor scenario's burst.
+const burstLen = 60
 
-// spawnMultiCast spawns one worker per processor plus, for traces that
-// preempt, a high-priority compute burst per processor (delaying, not
-// touching the object) released at the trace's two points. A preempted
-// worker's announced operation is what the other processor's helping ring
-// picks up. Immediate releases spawn no burst (the "none" control case:
-// nothing ever preempts the workers).
-func spawnMultiCast(s *sched.Sim, rel []arrival.Release, body func(int) func(*sched.Env), cost func(int) int64) {
-	const burstLen = 60
-	s.Spawn(sched.JobSpec{Name: "w0", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Cost: cost(0), Body: body(0)})
-	s.Spawn(sched.JobSpec{Name: "w1", CPU: 1, Prio: 1, Slot: 1, AfterSlices: -1, Cost: cost(1), Body: body(1)})
-	if !rel[0].Immediate() {
-		s.Spawn(sched.JobSpec{Name: "hi0", CPU: 0, Prio: 9, Slot: -1, AfterSlices: rel[0].AfterSlices, At: rel[0].At, Cost: burstLen,
-			Body: func(e *sched.Env) { e.Delay(burstLen) }})
+// cast declares the scenario's jobs. Uniprocessor objects get the Figure 2
+// trio p/q/r: the victim released at time zero and two adversaries released
+// at the trace's two points. Multiprocessor objects get workers w0/w1 plus,
+// for traces that preempt, a high-priority compute burst per processor
+// (delaying, not touching the object) released at the trace's two points; a
+// preempted worker's announced operation is what the other processor's
+// helping ring picks up. Immediate releases spawn no burst (the "none"
+// control case: nothing ever preempts the workers).
+func cast(d *registry.Descriptor, rel []arrival.Release) registry.Cast {
+	scripts := d.Scenario.Scripts
+	if d.Family == registry.FamilyUni {
+		return d.Cast([]string{"p", "q", "r"}, scripts, []arrival.Release{arrival.Now, rel[0], rel[1]})
 	}
-	if !rel[1].Immediate() {
-		s.Spawn(sched.JobSpec{Name: "hi1", CPU: 1, Prio: 9, Slot: -1, AfterSlices: rel[1].AfterSlices, At: rel[1].At, Cost: burstLen,
-			Body: func(e *sched.Env) { e.Delay(burstLen) }})
+	c := d.Cast([]string{"w0", "w1", "hi0", "hi1"}, [][]registry.Op{scripts[0], scripts[1], nil, nil},
+		[]arrival.Release{arrival.Now, arrival.Now, rel[0], rel[1]})
+	for i := 2; i < len(c); i++ {
+		c[i].Slot, c[i].Delay = -1, burstLen
 	}
+	return slices.DeleteFunc(c, func(j registry.Job) bool { return j.Delay > 0 && j.Release.Immediate() })
 }

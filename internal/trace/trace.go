@@ -4,7 +4,7 @@
 // emit semantic annotations (announce, help, commit) through Env.Note.
 // Tests assert on the resulting log — the Figure 2 incremental-helping
 // scenario of the paper is reproduced as assertions over this log — and
-// cmd/wfsim pretty-prints it.
+// cmd/wftrace -export gantt pretty-prints it.
 //
 // The log is built for the simulator's hot path: events are stored in
 // fixed-size chunks (append never copies the whole log), structured
@@ -323,8 +323,8 @@ func (l *Log) NoteCounts(substr string) map[string]int {
 	return out
 }
 
-// WriteTo pretty-prints the log, one event per line, in the style used by
-// cmd/wfsim to render the paper's Figure 2.
+// WriteTo pretty-prints the log, one event per line, in the style
+// cmd/wftrace -export gantt uses to render the paper's Figure 2.
 func (l *Log) WriteTo(w io.Writer) (int64, error) {
 	var n int64
 	for _, c := range l.chunks {
