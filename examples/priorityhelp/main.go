@@ -39,14 +39,15 @@ func run() error {
 			return 0, err
 		}
 		// Three processors run back-to-back full-list scans at low
-		// priority.
+		// priority: deletes of an absent key, which go through the
+		// helping ring (a search would answer from a read-only walk).
 		for cpu := 1; cpu < 4; cpu++ {
 			cpu := cpu
 			sim.Spawn(waitfree.JobSpec{
 				Name: fmt.Sprintf("grind%d", cpu), CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1,
 				Body: func(e *waitfree.Env) {
 					for k := 0; k < 3; k++ {
-						list.Search(e, 3005)
+						list.Delete(e, 3005)
 					}
 				},
 			})
@@ -57,7 +58,7 @@ func run() error {
 			Name: "urgent", CPU: 0, Prio: 9, Slot: 0, At: 700, AfterSlices: -1,
 			Body: func(e *waitfree.Env) {
 				start := e.Now()
-				list.Search(e, 3005)
+				list.Delete(e, 3005)
 				response = e.Now() - start
 			},
 		})

@@ -13,6 +13,8 @@
 // An operation completes in Θ(2·P·T) worst-case time: two traversals of the
 // helping ring, at most one list operation helped per processor per
 // traversal.
+// Search first tries a read-only walk validated by the version word and
+// runs the protocol only when that walk saw V move.
 //
 // The Findpos scan advances the shared checkpoint Ann[R].ptr with CCAS. The
 // paper's measured configuration performed that CCAS "once for every 100
@@ -236,15 +238,67 @@ func (l *List) Delete(e shmem.Ctx, key uint64) bool {
 	return true
 }
 
+// readCheck is the number of hops Search's read-only walk takes between
+// checks of the version word. The check is what bounds a walk that strayed
+// into recycled nodes after V moved: it notices within readCheck hops.
+const readCheck = 4
+
 // Search reports whether key is present.
+//
+// It first walks the list read-only (read): no announce, no checkpoint, no
+// shared write. Every structural change happens by a CCAS naming the
+// helping round that decided it, each round makes at most one, and a node
+// is recycled only after V has left the round that unlinked it; so a walk
+// that saw V unchanged from its first load to its last saw at most one
+// splice or unsplice and no recycled node, and its answer is the key's
+// presence just before or just after that change (PROOFNOTES.md, "The
+// list's validated read"). Only when V moved does Search fall back to the
+// announce/help protocol (lines 55-58), which keeps it wait-free: its worst
+// case is one failed walk, about (2+1/readCheck) loads a hop over at most
+// T+1+readCheck hops, plus the Θ(2·P·T) protocol.
 func (l *List) Search(e shmem.Ctx, key uint64) bool {
 	l.checkKey(key)
 	p := e.Slot()
-	e.Store(l.parAddr(p, parKey), key)
-	e.Store(l.parAddr(p, parOp), opSch)
-	l.cc.Write(e, l.eng.RvAddr(p), RvPending)
-	l.eng.DoOp(e)
-	return l.cc.Read(e, l.eng.RvAddr(p)) == RvTrue
+	if e.Traced() {
+		e.Note("invoke", trace.I("p", int64(p)))
+	}
+	found, ok := l.read(e, key)
+	if !ok {
+		if e.Traced() {
+			e.Note("read-fallback", trace.I("p", int64(p)))
+		}
+		e.Store(l.parAddr(p, parKey), key)
+		e.Store(l.parAddr(p, parOp), opSch)
+		l.cc.Write(e, l.eng.RvAddr(p), RvPending)
+		l.eng.Drive(e)
+		found = l.cc.Read(e, l.eng.RvAddr(p)) == RvTrue
+	}
+	if e.Traced() {
+		e.Note("response", trace.I("p", int64(p)))
+	}
+	return found
+}
+
+// read walks First → … toward key with plain reads, loading the version
+// word at the start, every readCheck hops and when the walk stops. It
+// reports ok only if V held one value throughout; a NIL next pointer (a
+// node recycled mid-walk) fails the read too.
+func (l *List) read(e shmem.Ctx, key uint64) (found, ok bool) {
+	vw := e.Load(l.eng.VAddr())
+	curr := l.first
+	for hop := 1; ; hop++ {
+		next := arena.Ref(l.cc.Read(e, l.ar.NextAddr(curr)))
+		if next == arena.NIL {
+			return false, false
+		}
+		if nextkey := e.Load(l.ar.KeyAddr(next)); nextkey >= key {
+			return nextkey == key, e.Load(l.eng.VAddr()) == vw
+		}
+		if hop%readCheck == 0 && e.Load(l.eng.VAddr()) != vw {
+			return false, false
+		}
+		curr = next
+	}
 }
 
 // help helps the operation announced on ver.Target (lines 38-58 of

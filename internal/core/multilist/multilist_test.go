@@ -240,7 +240,7 @@ func TestTheta2PT(t *testing.T) {
 			cpu := cpu
 			fx.sim.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, At: 0, AfterSlices: -1, Body: func(e *sched.Env) {
 				start := e.Now()
-				fx.list.Search(e, uint64(10*listSize+5)) // full scan
+				fx.list.Delete(e, uint64(10*listSize+5)) // full scan, key absent
 				worst[cpu] = e.Now() - start
 			}})
 		}
@@ -288,13 +288,13 @@ func TestPriorityHelpingUrgency(t *testing.T) {
 			cpu := cpu
 			fx.sim.Spawn(sched.JobSpec{Name: "", CPU: cpu, Prio: 1, Slot: cpu, At: 0, AfterSlices: -1, Body: func(e *sched.Env) {
 				for i := 0; i < 3; i++ {
-					fx.list.Search(e, 3005)
+					fx.list.Delete(e, 3005)
 					order = append(order, cpu)
 				}
 			}})
 		}
 		fx.sim.Spawn(sched.JobSpec{Name: "hi", CPU: 0, Prio: 9, Slot: 0, At: 900, AfterSlices: -1, Body: func(e *sched.Env) {
-			fx.list.Search(e, 3005)
+			fx.list.Delete(e, 3005)
 			order = append(order, 0)
 		}})
 		if err := fx.sim.Run(); err != nil {

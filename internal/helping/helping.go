@@ -223,15 +223,26 @@ func (g *Engine) annPrioAddr(r int) shmem.Addr { return g.annPrio + shmem.Addr(r
 // previously-announced operation on its processor, announces, then helps
 // until its own operation completes (lines 3-15 of Figure 6 / 16-29 of
 // Figure 7). The caller must have published its operation parameters and
-// reset Rv[p] before calling.
+// reset Rv[p] before calling. The operation's span runs from the "invoke"
+// annotation to the "response" one.
 func (g *Engine) DoOp(e shmem.Ctx) {
+	if e.Traced() {
+		e.Note("invoke", trace.I("p", int64(e.Slot())))
+	}
+	g.Drive(e)
+	if e.Traced() {
+		e.Note("response", trace.I("p", int64(e.Slot())))
+	}
+}
+
+// Drive is DoOp without the span annotations, for an operation that opened
+// its span before reaching the protocol (the multiprocessor list's Search
+// tries a read-only walk first) and closes it itself.
+func (g *Engine) Drive(e shmem.Ctx) {
 	mypr := e.CPU()
 	p := e.Slot()
 	if p >= g.cfg.Procs {
 		panic(fmt.Sprintf("helping: slot %d out of range [0,%d)", p, g.cfg.Procs))
-	}
-	if e.Traced() {
-		e.Note("invoke", trace.I("p", int64(p)))
 	}
 	for i := 0; i < 2; i++ { // line 3
 		if i == 0 && g.cfg.OneRound {
@@ -272,9 +283,6 @@ func (g *Engine) DoOp(e shmem.Ctx) {
 		g.announce(e, mypr, p) // line 14
 	}
 	e.Store(g.annPidAddr(mypr), uint64(g.cfg.Procs)) // line 15
-	if e.Traced() {
-		e.Note("response", trace.I("p", int64(p)))
-	}
 }
 
 // announce publishes process p as the pending operation on processor mypr.

@@ -21,11 +21,15 @@ package native_test
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
+	"sync"
 	"testing"
 
+	"repro/internal/native"
 	"repro/internal/registry"
+	"repro/internal/shmem"
 )
 
 // stressSizes returns the goroutine counts to stress. The full run covers
@@ -76,6 +80,104 @@ func TestNativeStress(t *testing.T) {
 					t.Fatalf("CheckErr: %v", err)
 				}
 			})
+		}
+	}
+}
+
+// TestNativeListRead runs the multiprocessor list's read-mostly mix — a
+// 256-key seeded list, 90% searches over a 512-key range — on real
+// goroutines. Most searches take the read-only walk, whose plain loads race
+// with the splices, unsplices and node recycling of the updates; under
+// -race the run certifies those loads go through native.Mem's atomics. The
+// oracle is the sorted-set flow balance of TestNativeStress.
+func TestNativeListRead(t *testing.T) {
+	const (
+		size, keyRange = 256, 512
+		procs, shards  = 4, 2
+	)
+	ops := 4000
+	if testing.Short() {
+		ops = 1000
+	}
+	seed := make([]uint64, size)
+	for i := range seed {
+		seed[i] = uint64(2 * (i + 1))
+	}
+	// RunNative's sizing: every op may allocate from its own slot's pool.
+	capacity := procs*(ops+4) + 2*size + 8
+	w := native.NewWorld(native.NewMem(1<<15+capacity*8+procs*64), shards)
+	inst, err := registry.BuildOn(registry.NativeBackend(w), "multilist",
+		registry.Config{Procs: procs, Capacity: capacity, SeedKeys: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	streams := make([][]registry.Op, procs)
+	results := make([][]registry.Result, procs)
+	var wg sync.WaitGroup
+	for slot := range streams {
+		rng := rand.New(rand.NewSource(int64(slot) + 1))
+		for range ops {
+			key := uint64(1 + rng.Intn(keyRange))
+			op := registry.Op{Code: registry.OpSearch, Key: key}
+			switch r := rng.Intn(100); {
+			case r >= 95:
+				op.Code = registry.OpDelete
+			case r >= 90:
+				op = registry.Op{Code: registry.OpInsert, Key: key, Val: key}
+			}
+			streams[slot] = append(streams[slot], op)
+		}
+		// RunNative's multiprocessor layout: distinct priorities within a
+		// shard, so a read can be preempted mid-walk by an update.
+		p := w.NewProc(slot, slot%shards, shmem.Priority(slot/shards))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, op := range streams[slot] {
+				p.Begin()
+				results[slot] = append(results[slot], inst.Apply(p, slot, op))
+				p.End()
+			}
+		}()
+	}
+	wg.Wait()
+
+	balance := map[uint64]int{}
+	for _, k := range seed {
+		balance[k]++
+	}
+	searches := 0
+	for slot, rs := range results {
+		for i, r := range rs {
+			switch op := streams[slot][i]; {
+			case op.Code == registry.OpSearch:
+				searches++
+			case op.Code == registry.OpInsert && r.OK:
+				balance[op.Key]++
+			case op.Code == registry.OpDelete && r.OK:
+				balance[op.Key]--
+			}
+		}
+	}
+	if searches*10 < procs*ops*8 {
+		t.Fatalf("%d searches in %d ops: not a read-mostly mix", searches, procs*ops)
+	}
+	snap := inst.Snapshot()
+	present := map[uint64]bool{}
+	for i, k := range snap {
+		if i > 0 && snap[i-1] >= k {
+			t.Fatalf("snapshot not strictly sorted at %d", i)
+		}
+		present[k] = true
+	}
+	for k, b := range balance {
+		if b != 0 && b != 1 || (b == 1) != present[k] {
+			t.Fatalf("key %d: seed+insertOK-deleteOK = %d but present = %v", k, b, present[k])
+		}
+	}
+	for k := range present {
+		if _, ok := balance[k]; !ok {
+			t.Fatalf("key %d in final snapshot was never seeded or inserted", k)
 		}
 	}
 }

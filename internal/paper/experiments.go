@@ -168,13 +168,16 @@ func fig1(sc Scale) []Table {
 		t.add([]string{"multi MWCAS (CAS+CCAS)", fmt.Sprintf("P=%d W=%d", pw.p, pw.w), "Θ(2PW)"},
 			worstOf(s, pw.p, func(e *sched.Env) { obj.MWCAS(e, addrs, old, next) }))
 	}
+	// The multi-list probe is a Delete of an absent key: a full scan
+	// through the helping protocol. A Search would answer from its
+	// read-only walk and never reach the ring.
 	for _, pt := range []struct{ p, t int }{{2, 200}, {4, 200}, {8, 200}, {4, 100}, {4, 400}} {
 		s := sched.New(sched.Config{Processors: pt.p, Seed: sc.Seed, MemWords: 1 << 18})
 		l := seeded(s, pt.t+16, pt.p, pt.t, func(ar *arena.Arena) (*multilist.List, error) {
 			return multilist.New(s.Mem(), ar, multilist.Config{Processors: pt.p, Procs: pt.p})
 		})
 		t.add([]string{"multi list (CAS+CCAS)", fmt.Sprintf("P=%d T=%d", pt.p, pt.t), "Θ(2PT)"},
-			worstOf(s, pt.p, func(e *sched.Env) { l.Search(e, uint64(10*pt.t+5)) }))
+			worstOf(s, pt.p, func(e *sched.Env) { l.Delete(e, uint64(10*pt.t+5)) }))
 	}
 	return []Table{t}
 }
@@ -307,7 +310,8 @@ func ablations(sc Scale) []Table {
 		a1.add([]string{fmt.Sprint(n)}, wf, uc, uc/wf)
 	}
 
-	// A2: a late high-priority op while three processors run long scans.
+	// A2: a late high-priority op while three processors run long scans
+	// (A2 and A6 scan with Deletes of an absent key, as fig1 does).
 	a2 := Table{Title: "A2 — response time of a late high-priority operation (paper: priority helping \"very effective\")",
 		Labels: []string{"helping mode"}, Values: []Column{{Name: "hi-priority op response"}}}
 	for _, mode := range []helping.Mode{helping.Cyclic, helping.Priority} {
@@ -319,12 +323,12 @@ func ablations(sc Scale) []Table {
 		scans := perCPU(4, func(int) func(*sched.Env) {
 			return func(e *sched.Env) {
 				for k := 0; k < 3; k++ {
-					l.Search(e, 3005)
+					l.Delete(e, 3005)
 				}
 			}
 		})[1:]
 		run(s, append(scans, sched.JobSpec{Name: "hi", CPU: 0, Prio: 9, Slot: 0, At: 700, AfterSlices: -1,
-			Body: timed(&hi, func(e *sched.Env) { l.Search(e, 3005) })})...)
+			Body: timed(&hi, func(e *sched.Env) { l.Delete(e, 3005) })})...)
 		a2.add([]string{mode.String()}, float64(hi))
 	}
 
@@ -360,11 +364,11 @@ func ablations(sc Scale) []Table {
 			return multilist.New(s.Mem(), ar, multilist.Config{Processors: 4, Procs: 4, Mode: mode})
 		})
 		var low int64
-		jobs := []sched.JobSpec{{Name: "low", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: timed(&low, func(e *sched.Env) { l.Search(e, 2005) })}}
+		jobs := []sched.JobSpec{{Name: "low", CPU: 0, Prio: 1, Slot: 0, AfterSlices: -1, Body: timed(&low, func(e *sched.Env) { l.Delete(e, 2005) })}}
 		for cpu := 1; cpu < 4; cpu++ {
 			jobs = append(jobs, sched.JobSpec{CPU: cpu, Prio: 9, Slot: cpu, At: int64(cpu), AfterSlices: -1, Body: func(e *sched.Env) {
 				for i := 0; i < burst; i++ {
-					l.Search(e, 2005)
+					l.Delete(e, 2005)
 				}
 			}})
 		}

@@ -272,7 +272,8 @@ func TestPartitionedAnalysis(t *testing.T) {
 func TestPartitionedAnalysisValidatedBySimulation(t *testing.T) {
 	const listSize = 30
 	const nCPU = 2
-	// Calibrate a full-scan search on the multiprocessor list.
+	// Calibrate a full scan on the multiprocessor list: a Delete of an
+	// absent key (a Search would take the read-only walk).
 	opCost := func() int64 {
 		s := sched.New(sched.Config{Processors: nCPU, Seed: 1, MemWords: 1 << 17})
 		ar, err := arena.New(s.Mem(), listSize+8, 1)
@@ -294,7 +295,7 @@ func TestPartitionedAnalysisValidatedBySimulation(t *testing.T) {
 		var cost int64
 		s.SpawnAt(0, 0, 1, "cal", func(e *sched.Env) {
 			start := e.Now()
-			l.Search(e, 10*listSize+5)
+			l.Delete(e, 10*listSize+5)
 			cost = e.Now() - start
 		})
 		if err := s.Run(); err != nil {
@@ -356,7 +357,7 @@ func TestPartitionedAnalysisValidatedBySimulation(t *testing.T) {
 				Name: task.Name, CPU: assign[ti], Prio: prio, Slot: ti, At: rel, AfterSlices: -1,
 				Body: func(e *sched.Env) {
 					for op := 0; op < task.Ops; op++ {
-						l.Search(e, 10*listSize+5)
+						l.Delete(e, 10*listSize+5)
 					}
 					e.Delay(task.BaseCost)
 				},
