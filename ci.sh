@@ -37,6 +37,20 @@ go test -race -short ./internal/native/... ./internal/prim/...
 # never over-admitted).
 go test -race -short ./internal/service/...
 
+# Spawn-site guard: drivers declare their runs as registry casts and spawn
+# them through Cast.Spawn. These are the non-test Go files (bench/ aside)
+# that still build a sched.JobSpec or call SpawnAt themselves; moving a
+# driver onto casts removes its entry, and nothing may add one.
+test "$(grep -rlE --include='*.go' --exclude='*_test.go' \
+        --exclude-dir=bench --exclude-dir=.bench_build --exclude-dir=artifacts \
+        'sched\.JobSpec\{|\.SpawnAt\(' . | LC_ALL=C sort)" = "$(printf '%s\n' \
+    ./cmd/wfbench/core.go \
+    ./examples/kernelqueue/main.go \
+    ./internal/paper/experiments.go \
+    ./internal/registry/cast.go \
+    ./internal/service/simdriver.go \
+    ./waitfree.go)"
+
 # The registry must cover every internal/core/ and internal/baseline/
 # package; this is the gate that keeps "drive everything through the
 # registry" honest.

@@ -260,7 +260,7 @@ func uniformCast(d *registry.Descriptor, icfg registry.Config, cfg Config, procs
 		cast[i] = registry.Job{
 			Name: fmt.Sprintf("w%d", i), CPU: cpu, Prio: prio, Slot: i,
 			Release: arrival.Release{AfterSlices: rng.Int63n(cfg.Horizon)},
-			Ops:     d.Ops(icfg, cfg.Seed, i, cfg.Ops),
+			Script:  registry.Ops(d.Ops(icfg, cfg.Seed, i, cfg.Ops)),
 		}
 	}
 	return cast
@@ -281,7 +281,7 @@ func pctCast(d *registry.Descriptor, icfg registry.Config, cfg Config, procs int
 		}
 		cast = append(cast, registry.Job{
 			Name: fmt.Sprintf("w%d", i), CPU: i % procs, Prio: prio, Slot: i,
-			Release: arrival.Now, Ops: d.Ops(icfg, cfg.Seed, i, cfg.Ops),
+			Release: arrival.Now, Script: registry.Ops(d.Ops(icfg, cfg.Seed, i, cfg.Ops)),
 		})
 	}
 	for j := 0; j < cfg.Boosters; j++ {
@@ -297,7 +297,7 @@ func pctCast(d *registry.Descriptor, icfg registry.Config, cfg Config, procs int
 		cast = append(cast, registry.Job{
 			Name: fmt.Sprintf("b%d", j), CPU: cpu, Prio: prio, Slot: slot,
 			Release: arrival.Release{AfterSlices: rng.Int63n(cfg.Horizon)},
-			Ops:     d.Ops(icfg, cfg.Seed, slot, boosterOps),
+			Script:  registry.Ops(d.Ops(icfg, cfg.Seed, slot, boosterOps)),
 		})
 	}
 	return cast

@@ -203,12 +203,19 @@ func (e *Env) Prio() Priority { return e.p.spec.Prio }
 func (e *Env) Now() int64 { return e.cpu.clock + e.pending }
 
 // Rand returns a deterministic per-process random source for workload
-// decisions made inside process bodies.
+// decisions made inside process bodies: ProcRand(Config.Seed, id).
 func (e *Env) Rand() *rand.Rand {
 	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.sim.cfg.Seed*1_000_003 + int64(e.p.id)))
+		e.rng = ProcRand(e.sim.cfg.Seed, e.p.id)
 	}
 	return e.rng
+}
+
+// ProcRand returns a fresh copy of the random stream Env.Rand hands the
+// process with spawn index id in a run seeded seed, for drivers that draw
+// a job's decisions outside its body.
+func ProcRand(seed int64, id int) *rand.Rand {
+	return rand.New(rand.NewSource(seed*1_000_003 + int64(id)))
 }
 
 // Note records a structured algorithm annotation in the run trace (no-op

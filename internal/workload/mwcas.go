@@ -3,13 +3,12 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"slices"
 
-	"repro/internal/core/multimwcas"
-	"repro/internal/core/unimwcas"
 	"repro/internal/helping"
 	"repro/internal/prim"
+	"repro/internal/registry"
 	"repro/internal/sched"
-	"repro/internal/shmem"
 )
 
 // MWCASKind selects the MWCAS implementation under test.
@@ -58,10 +57,44 @@ type MWCASResult struct {
 	WorstOp  int64 // worst single MWCAS call response
 }
 
+// mwcasObject maps the MWCAS kinds onto registry names.
+var mwcasObject = map[MWCASKind]string{MWCASUni: "unimwcas", MWCASMulti: "multimwcas"}
+
+// commits is an MWCAS job's script: read-modify-write transactions adding
+// one to width distinct words out of words, drawn as the job runs from the
+// stream Env.Rand hands job id in a run seeded seed, until n have
+// committed. A failed transaction is an application-level retry.
+type commits struct {
+	seed                int64
+	id, n, words, width int
+}
+
+func (c commits) Len() int { return c.n }
+
+func (c commits) Run(apply func(registry.Op) registry.Result) {
+	rng := sched.ProcRand(c.seed, c.id)
+	idx := make([]int, 0, c.width)
+	for done := 0; done < c.n; {
+		for idx = idx[:0]; len(idx) < c.width; {
+			if i := rng.Intn(c.words); !slices.Contains(idx, i) {
+				idx = append(idx, i)
+			}
+		}
+		if apply(registry.Op{Code: registry.OpMWCAS, Words: idx, Delta: 1}).OK {
+			done++
+		}
+	}
+}
+
 // RunMWCAS executes one MWCAS throughput run.
 func RunMWCAS(cfg MWCASConfig) (*MWCASResult, error) {
-	if cfg.Processors < 1 {
-		return nil, fmt.Errorf("workload: processors %d out of range", cfg.Processors)
+	lay := layout{procs: cfg.Processors, bursts: cfg.BurstsPerCPU, burst: cfg.BurstCommits, total: cfg.TotalCommits}
+	if err := lay.check("commits"); err != nil {
+		return nil, err
+	}
+	name, ok := mwcasObject[cfg.Kind]
+	if !ok {
+		return nil, fmt.Errorf("workload: unknown MWCAS kind %q", cfg.Kind)
 	}
 	if cfg.Kind == MWCASUni && cfg.Processors != 1 {
 		return nil, fmt.Errorf("workload: %s requires one processor", cfg.Kind)
@@ -72,12 +105,6 @@ func RunMWCAS(cfg MWCASConfig) (*MWCASResult, error) {
 	if cfg.Granularity == 0 {
 		cfg.Granularity = sched.Coarse
 	}
-	burstJobs := cfg.Processors * cfg.BurstsPerCPU
-	burstCommits := burstJobs * cfg.BurstCommits
-	if burstCommits > cfg.TotalCommits {
-		return nil, fmt.Errorf("workload: burst commits %d exceed total %d", burstCommits, cfg.TotalCommits)
-	}
-	slots := cfg.Processors + burstJobs
 	pol, err := resolvePolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
@@ -91,159 +118,31 @@ func RunMWCAS(cfg MWCASConfig) (*MWCASResult, error) {
 		MaxSteps:    uint64(cfg.TotalCommits)*uint64(cfg.Words+64)*64 + 1<<22,
 		Policy:      pol,
 	})
-
-	// Build the object and a transaction function.
-	var txn func(e *sched.Env, rng func(int) int) (bool, error)
-	base := s.Mem().MustAlloc("appwords", cfg.Words)
-	words := make([]shmem.Addr, cfg.Words)
-	for i := range words {
-		words[i] = base + shmem.Addr(i)
-	}
-	switch cfg.Kind {
-	case MWCASUni:
-		obj, err := unimwcas.New(s.Mem(), slots, cfg.Width)
-		if err != nil {
-			return nil, err
-		}
-		for _, w := range words {
-			obj.InitWord(w, 0)
-		}
-		txn = func(e *sched.Env, rng func(int) int) (bool, error) {
-			idx := pick(rng, cfg.Words, cfg.Width)
-			addrs := make([]shmem.Addr, cfg.Width)
-			old := make([]uint32, cfg.Width)
-			next := make([]uint32, cfg.Width)
-			for i, wi := range idx {
-				addrs[i] = words[wi]
-				old[i] = obj.Read(e, addrs[i])
-				next[i] = old[i] + 1
-			}
-			return obj.MWCAS(e, addrs, old, next), nil
-		}
-	case MWCASMulti:
-		obj, err := multimwcas.New(s.Mem(), multimwcas.Config{
-			Processors: cfg.Processors, Procs: slots, Width: cfg.Width,
-			CC: cfg.CC, Mode: cfg.Mode,
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, w := range words {
-			obj.InitWord(w, 0)
-		}
-		txn = func(e *sched.Env, rng func(int) int) (bool, error) {
-			idx := pick(rng, cfg.Words, cfg.Width)
-			addrs := make([]shmem.Addr, cfg.Width)
-			old := make([]uint64, cfg.Width)
-			next := make([]uint64, cfg.Width)
-			for i, wi := range idx {
-				addrs[i] = words[wi]
-				old[i] = obj.ReadWord(e, addrs[i])
-				next[i] = old[i] + 1
-			}
-			return obj.MWCAS(e, addrs, old, next), nil
-		}
-	default:
-		return nil, fmt.Errorf("workload: unknown MWCAS kind %q", cfg.Kind)
-	}
-
-	res := &MWCASResult{Cfg: cfg}
-	var runErr error
-	commitLoop := func(e *sched.Env, commits int) {
-		for done := 0; done < commits; {
-			start := e.Now()
-			ok, err := txn(e, e.Rand().Intn)
-			if err != nil {
-				runErr = err
-				return
-			}
-			if d := e.Now() - start; d > res.WorstOp {
-				res.WorstOp = d
-			}
-			if ok {
-				done++
-				res.Commits++
-			} else {
-				res.Failures++
-			}
-		}
-	}
-
-	baseTotal := cfg.TotalCommits - burstCommits
-	basePer := baseTotal / cfg.Processors
-	for cpu := 0; cpu < cfg.Processors; cpu++ {
-		cpu := cpu
-		commits := basePer
-		if cpu == 0 {
-			commits += baseTotal - basePer*cfg.Processors
-		}
-		s.Spawn(sched.JobSpec{
-			Name: fmt.Sprintf("base%d", cpu), CPU: cpu, Prio: 1, Slot: cpu, AfterSlices: -1,
-			Body: func(e *sched.Env) { commitLoop(e, commits) },
-		})
+	inst, err := registry.Build(s, name, registry.Config{
+		Procs: lay.slots(), Words: cfg.Words, Width: cfg.Width, CC: cfg.CC, Mode: cfg.Mode,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
 	}
 	est := int64(cfg.TotalCommits * (16 + 4*cfg.Width))
-	job := 0
-	for cpu := 0; cpu < cfg.Processors; cpu++ {
-		for b := 0; b < cfg.BurstsPerCPU; b++ {
-			slot := cfg.Processors + job
-			release := est*int64(b+1)/int64(cfg.BurstsPerCPU+1) + s.Rand().Int63n(est/int64(cfg.BurstsPerCPU+1)+1)
-			s.Spawn(sched.JobSpec{
-				Name: fmt.Sprintf("burst%d", job), CPU: cpu, Prio: sched.Priority(2 + b%3), Slot: slot,
-				AfterSlices: release,
-				Body:        func(e *sched.Env) { commitLoop(e, cfg.BurstCommits) },
-			})
-			job++
-		}
-	}
+	lay.cast(s.Rand(), est, func(id, n int) registry.Script {
+		return commits{seed: cfg.Seed, id: id, n: n, words: cfg.Words, width: cfg.Width}
+	}).Spawn(s, inst)
 	if err := s.Run(); err != nil {
 		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	res.Makespan = s.Elapsed()
+	applies := s.Report(string(cfg.Kind)).OpTime
+	res := &MWCASResult{Cfg: cfg, Commits: cfg.TotalCommits, Failures: applies.Count - cfg.TotalCommits,
+		Makespan: s.Elapsed(), WorstOp: applies.Max}
 
 	// Conservation check: every committed transaction incremented Width
 	// words by one, so the word sum equals Commits * Width.
 	var sum uint64
-	for _, w := range words {
-		switch cfg.Kind {
-		case MWCASUni:
-			sum += uint64(unimwcasVal(s, w))
-		default:
-			sum += multimwcasVal(s, w, cfg.CC)
-		}
+	for _, v := range inst.Snapshot() {
+		sum += v
 	}
 	if sum != uint64(res.Commits*cfg.Width) {
 		return nil, errors.New("workload: MWCAS conservation violated (lost or doubled commits)")
 	}
 	return res, nil
-}
-
-// pick chooses width distinct indices in [0, words).
-func pick(rng func(int) int, words, width int) []int {
-	idx := make([]int, 0, width)
-	used := make(map[int]bool, width)
-	for len(idx) < width {
-		i := rng(words)
-		if !used[i] {
-			used[i] = true
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-func unimwcasVal(s *sched.Sim, w shmem.Addr) uint32 {
-	word := unimwcas.Unpack(s.Mem().Peek(w))
-	// Quiescent: valid words only.
-	return word.Val
-}
-
-func multimwcasVal(s *sched.Sim, w shmem.Addr, cc prim.Impl) uint64 {
-	if cc == nil {
-		cc = prim.Native{}
-	}
-	return cc.Logical(s.Mem().Peek(w))
 }

@@ -1,6 +1,9 @@
 package workload
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestMWCASWorkloadUni: the uniprocessor MWCAS workload conserves commits
 // under preemption bursts.
@@ -54,5 +57,12 @@ func TestMWCASWorkloadValidation(t *testing.T) {
 	}
 	if _, err := RunMWCAS(MWCASConfig{Kind: MWCASMulti, Processors: 1, Words: 2, Width: 1, TotalCommits: 5, BurstsPerCPU: 10, BurstCommits: 10}); err == nil {
 		t.Error("burst overflow accepted")
+	}
+	if _, err := RunMWCAS(MWCASConfig{Kind: MWCASMulti, Processors: 1, Words: 2, Width: 1, TotalCommits: -3}); err == nil ||
+		!strings.Contains(err.Error(), "total commits -3 is negative") {
+		t.Errorf("negative total: err = %v, want a plain negative-total error", err)
+	}
+	if _, err := RunMWCAS(MWCASConfig{Kind: MWCASMulti, Processors: 1, Words: 2, Width: 1, TotalCommits: 5, BurstsPerCPU: -1, BurstCommits: 2}); err == nil {
+		t.Error("negative bursts accepted")
 	}
 }

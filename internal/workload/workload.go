@@ -13,15 +13,22 @@
 // The same harness runs all four list implementations (wait-free,
 // Greenwald–Cheriton CAS2 lock-free, CAS-only lock-free, spin-lock) so
 // total-time ratios and worst-case behaviour are directly comparable.
+//
+// Every run, the MWCAS throughput runs and the base-op probe included, is
+// a registry.Cast spawned through Cast.Spawn on a registry instance. The
+// jobs' scripts are streamed: each draws its ops as it runs, from the same
+// per-process random stream Env.Rand would hand the job, so a 50,000-op
+// run never holds its ops in memory.
 package workload
 
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 
+	"repro/internal/arrival"
 	"repro/internal/baseline/gclist"
 	"repro/internal/baseline/valois"
-	"repro/internal/check"
 	"repro/internal/helping"
 	"repro/internal/metrics"
 	"repro/internal/prim"
@@ -107,10 +114,9 @@ type ListResult struct {
 	Cfg      ListConfig
 	Ops      int
 	Makespan int64
-	// WorstOp and AvgOp are operation response times (virtual units),
+	// WorstOp is the worst operation response time (virtual units),
 	// including preemption and helping delay.
 	WorstOp int64
-	AvgOp   float64
 	// BaseOp is the interference-free cost of one operation at this list
 	// size, measured in a separate single-process run. WorstOp/BaseOp is
 	// the paper's "at most eight times that of an interference-free
@@ -177,6 +183,65 @@ func resolvePolicy(name string) (sched.Policy, error) {
 	return pol, nil
 }
 
+// layout is the job shape both runners share, in units of ops or commits:
+// one priority-1 base worker per processor, released at time zero and
+// splitting what the bursts leave (cpu0 takes the remainder), then bursts
+// jobs per processor of burst units each at nested priorities 2 + b%3,
+// staggered across the run. Each job is its own slot.
+type layout struct {
+	procs, bursts, burst, total int
+}
+
+// check rejects a layout the runners cannot run.
+func (l layout) check(unit string) error {
+	switch {
+	case l.procs < 1:
+		return fmt.Errorf("workload: processors %d out of range", l.procs)
+	case l.total < 0:
+		return fmt.Errorf("workload: total %s %d is negative", unit, l.total)
+	case l.bursts < 0 || l.burst < 0:
+		return fmt.Errorf("workload: negative burst configuration")
+	case l.procs*l.bursts*l.burst > l.total:
+		return fmt.Errorf("workload: burst %s %d exceed total %d", unit, l.procs*l.bursts*l.burst, l.total)
+	}
+	return nil
+}
+
+// slots is the job count.
+func (l layout) slots() int { return l.procs * (1 + l.bursts) }
+
+// cast declares the jobs in spawn order; script(id, n) is job id's script
+// of n units. Spawned first into its sim, job id is also proc id, the id
+// Env.Rand seeds from. Burst b is released at a slice count drawn from rng
+// within the (b+1)-th of bursts+1 equal spans of an est-slice run.
+func (l layout) cast(rng *rand.Rand, est int64, script func(id, n int) registry.Script) registry.Cast {
+	c := make(registry.Cast, 0, l.slots())
+	baseTotal := l.total - l.procs*l.bursts*l.burst
+	per := baseTotal / l.procs
+	for cpu := range l.procs {
+		n := per
+		if cpu == 0 {
+			n += baseTotal - per*l.procs
+		}
+		c = append(c, registry.Job{
+			Name: fmt.Sprintf("base%d", cpu), CPU: cpu, Prio: 1, Slot: cpu,
+			Release: arrival.Now, Script: script(cpu, n),
+		})
+	}
+	span := est / int64(l.bursts+1)
+	for cpu := range l.procs {
+		for b := range l.bursts {
+			id := len(c)
+			release := est*int64(b+1)/int64(l.bursts+1) + rng.Int63n(span+1)
+			c = append(c, registry.Job{
+				Name: fmt.Sprintf("burst%d", id-l.procs), CPU: cpu, Prio: sched.Priority(2 + b%3), Slot: id,
+				Release: arrival.Release{AfterSlices: release}, Script: script(id, l.burst),
+			})
+		}
+	}
+	return c
+}
+
 // kindToObject maps the workload kinds onto registry names.
 var kindToObject = map[Kind]string{
 	WaitFree:    "multilist",
@@ -186,8 +251,10 @@ var kindToObject = map[Kind]string{
 	LockBased:   "locklist",
 }
 
-// build constructs the configured list inside sim via the registry.
-func build(cfg ListConfig, s *sched.Sim, slots int) (List, error) {
+// buildList constructs the configured list inside s via the registry,
+// seeded with the even keys 2..2·ListSize; cfg.Check arms the object's own
+// linearizability checker.
+func buildList(s *sched.Sim, cfg ListConfig, slots int) (registry.Instance, error) {
 	name, ok := kindToObject[cfg.Kind]
 	if !ok {
 		return nil, fmt.Errorf("workload: unknown kind %q", cfg.Kind)
@@ -205,162 +272,106 @@ func build(cfg ListConfig, s *sched.Sim, slots int) (List, error) {
 		Capacity:   cfg.ListSize + cfg.TotalOps + 4*slots + 8,
 		SeedKeys:   keys,
 		CC:         cfg.CC, Mode: cfg.Mode, Stride: cfg.Stride, OneRound: cfg.OneRound,
+		Check: cfg.Check,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	return inst.Underlying().(List), nil
+	return inst, nil
+}
+
+// mix is a list job's script: n ops on keys [1, keys], drawn as the job
+// runs from the stream Env.Rand hands job id in a run seeded seed. Each op
+// draws its key, then a search roll against the search percentage, then
+// an insert/delete coin; search < 0 skips the roll (the probe's
+// update-only mix).
+type mix struct {
+	seed                int64
+	id, n, keys, search int
+}
+
+func (m mix) Len() int { return m.n }
+
+func (m mix) Run(apply func(registry.Op) registry.Result) {
+	if m.n == 0 {
+		return // an empty job seeds no stream (~17 µs each on a 2-vCPU host)
+	}
+	rng := sched.ProcRand(m.seed, m.id)
+	for range m.n {
+		op := registry.Op{Code: registry.OpDelete, Key: uint64(1 + rng.Intn(m.keys))}
+		switch {
+		case m.search >= 0 && rng.Intn(100) < m.search:
+			op.Code = registry.OpSearch
+		case rng.Intn(2) == 0:
+			op.Code, op.Val = registry.OpInsert, op.Key
+		}
+		apply(op)
+	}
 }
 
 // RunList executes one experiment run and returns its measurements.
 func RunList(cfg ListConfig) (*ListResult, error) {
-	if cfg.Processors < 1 {
-		return nil, fmt.Errorf("workload: processors %d out of range", cfg.Processors)
+	lay := layout{procs: cfg.Processors, bursts: cfg.BurstsPerCPU, burst: cfg.BurstOps, total: cfg.TotalOps}
+	if err := lay.check("ops"); err != nil {
+		return nil, err
 	}
-	if cfg.Granularity == 0 {
-		cfg.Granularity = sched.Coarse
-	}
-	if cfg.BurstsPerCPU < 0 || cfg.BurstOps < 0 {
-		return nil, fmt.Errorf("workload: negative burst configuration")
+	// The base-op probe draws its keys from the list size even when the
+	// run itself performs no ops.
+	if cfg.ListSize < 1 {
+		return nil, fmt.Errorf("workload: list size %d out of range (need >= 1)", cfg.ListSize)
 	}
 	if cfg.SearchPercent < 0 || cfg.SearchPercent > 100 {
 		return nil, fmt.Errorf("workload: search percentage %d out of range", cfg.SearchPercent)
+	}
+	if cfg.Granularity == 0 {
+		cfg.Granularity = sched.Coarse
 	}
 	pol, err := resolvePolicy(cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
 
-	// Job layout: one base worker per processor plus the bursts; each
-	// burst job gets its own slot (slots never execute concurrently
-	// within a job, and distinct jobs have distinct slots).
-	burstJobs := cfg.Processors * cfg.BurstsPerCPU
-	burstOpsTotal := burstJobs * cfg.BurstOps
-	if burstOpsTotal > cfg.TotalOps {
-		return nil, fmt.Errorf("workload: burst ops %d exceed total %d", burstOpsTotal, cfg.TotalOps)
-	}
-	baseOpsTotal := cfg.TotalOps - burstOpsTotal
-	slots := cfg.Processors + burstJobs
-
+	slots := lay.slots()
 	capacity := cfg.ListSize + cfg.TotalOps + 4*slots + 8
-	memWords := 3*capacity + 64*slots + 1<<13
 	s := sched.New(sched.Config{
 		Processors:  cfg.Processors,
 		Seed:        cfg.Seed,
-		MemWords:    memWords,
+		MemWords:    3*capacity + 64*slots + 1<<13,
 		Granularity: cfg.Granularity,
 		SyncCost:    cfg.SyncCost,
 		MaxSteps:    uint64(cfg.TotalOps)*uint64(cfg.ListSize+64)*8*uint64(max(cfg.SyncCost, 1)) + 1<<22,
 		EnableTrace: cfg.EnableTrace,
 		Policy:      pol,
 	})
-	l, err := build(cfg, s, slots)
+	inst, err := buildList(s, cfg, slots)
 	if err != nil {
 		return nil, err
 	}
-	var chk *check.MultiListChecker
-	if cfg.Check {
-		chk = check.NewMultiListChecker(l, s.Mem())
-	}
+	// A rough per-op slice estimate places the bursts: late triggers fire
+	// at quiescence, early ones merely shift the preemption pattern.
+	est := int64(cfg.TotalOps * (8 + cfg.ListSize/16))
+	lay.cast(s.Rand(), est, func(id, n int) registry.Script {
+		return mix{seed: cfg.Seed, id: id, n: n, keys: 2 * cfg.ListSize, search: cfg.SearchPercent}
+	}).Spawn(s, inst)
 
-	res := &ListResult{Cfg: cfg, BaseOp: 1}
-	keyRange := 2 * cfg.ListSize
-	var totalOpTime int64
-
-	runOps := func(e *sched.Env, slot, ops int) {
-		for i := 0; i < ops; i++ {
-			key := uint64(1 + e.Rand().Intn(keyRange))
-			start := e.Now()
-			var ok bool
-			switch {
-			case e.Rand().Intn(100) < cfg.SearchPercent:
-				if chk != nil {
-					chk.BeginOp(slot, check.ListSch, key)
-				}
-				ok = l.Search(e, key)
-			case e.Rand().Intn(2) == 0:
-				if chk != nil {
-					chk.BeginOp(slot, check.ListIns, key)
-				}
-				ok = l.Insert(e, key, key)
-			default:
-				if chk != nil {
-					chk.BeginOp(slot, check.ListDel, key)
-				}
-				ok = l.Delete(e, key)
-			}
-			if chk != nil {
-				chk.EndOp(slot, ok)
-			}
-			elapsed := e.Now() - start
-			e.RecordOp(elapsed)
-			totalOpTime += elapsed
-			if elapsed > res.WorstOp {
-				res.WorstOp = elapsed
-			}
-			res.Ops++
-		}
+	runErr := s.Run()
+	rep := s.Report(string(cfg.Kind))
+	res := &ListResult{Cfg: cfg, Ops: rep.OpTime.Count, Makespan: s.Elapsed(), WorstOp: rep.OpTime.Max,
+		BaseOp: 1, Report: rep, TraceLog: s.Trace()}
+	if errors.Is(runErr, sched.ErrWatchdog) {
+		// Livelock: report it as a measurement (the paper's motivating
+		// failure mode for lock-based objects).
+		res.Livelocked = true
+		return res, nil
 	}
-
-	// Base workers.
-	basePer := baseOpsTotal / cfg.Processors
-	for cpu := 0; cpu < cfg.Processors; cpu++ {
-		cpu := cpu
-		ops := basePer
-		if cpu == 0 {
-			ops += baseOpsTotal - basePer*cfg.Processors
-		}
-		s.Spawn(sched.JobSpec{
-			Name: fmt.Sprintf("base%d", cpu), CPU: cpu, Prio: 1, Slot: cpu,
-			AfterSlices: -1,
-			Body:        func(e *sched.Env) { runOps(e, cpu, ops) },
-		})
+	if runErr != nil {
+		return nil, fmt.Errorf("workload: %w", runErr)
 	}
-	// Priority bursts, staggered across the estimated run length. A
-	// rough per-op slice estimate suffices: late triggers fire at
-	// quiescence, early ones merely shift the preemption pattern.
-	estSlicesPerOp := 8 + cfg.ListSize/16
-	estTotal := int64(cfg.TotalOps * estSlicesPerOp)
-	job := 0
-	for cpu := 0; cpu < cfg.Processors; cpu++ {
-		for b := 0; b < cfg.BurstsPerCPU; b++ {
-			slot := cfg.Processors + job
-			prio := sched.Priority(2 + b%3) // a few nested levels
-			release := estTotal * int64(b+1) / int64(cfg.BurstsPerCPU+1)
-			release += s.Rand().Int63n(estTotal/int64(cfg.BurstsPerCPU+1) + 1)
-			s.Spawn(sched.JobSpec{
-				Name: fmt.Sprintf("burst%d", job), CPU: cpu, Prio: prio, Slot: slot,
-				AfterSlices: release,
-				Body:        func(e *sched.Env) { runOps(e, slot, cfg.BurstOps) },
-			})
-			job++
-		}
+	if err := inst.CheckErr(); err != nil {
+		return nil, err
 	}
-
-	if err := s.Run(); err != nil {
-		if errors.Is(err, sched.ErrWatchdog) {
-			// Livelock: report it as a measurement (the paper's
-			// motivating failure mode for lock-based objects).
-			res.Livelocked = true
-			res.Makespan = s.Elapsed()
-			res.Report = s.Report(string(cfg.Kind))
-			res.TraceLog = s.Trace()
-			return res, nil
-		}
-		return nil, fmt.Errorf("workload: %w", err)
-	}
-	if chk != nil {
-		chk.Finish()
-		if err := chk.Err(); err != nil {
-			return nil, err
-		}
-	}
-	res.Makespan = s.Elapsed()
-	if res.Ops > 0 {
-		res.AvgOp = float64(totalOpTime) / float64(res.Ops)
-	}
-	res.Final = len(l.Snapshot())
-	switch v := l.(type) {
+	res.Final = len(inst.Snapshot())
+	switch v := inst.Underlying().(type) {
 	case *gclist.List:
 		st := v.TotalStats()
 		res.Retries, res.WorstRetries = st.Retries, st.WorstRetries
@@ -368,60 +379,37 @@ func RunList(cfg ListConfig) (*ListResult, error) {
 		st := v.TotalStats()
 		res.Retries, res.WorstRetries = st.Retries, st.WorstRetries
 	}
-	res.BaseOp = measureBaseOp(cfg)
-	res.Report = s.Report(string(cfg.Kind))
-	res.TraceLog = s.Trace()
+	if res.BaseOp, err = measureBaseOp(cfg, pol); err != nil {
+		return nil, err
+	}
 	return res, nil
 }
 
-// measureBaseOp runs a single-process, interference-free version of the
-// workload to obtain the baseline per-operation cost at this list size.
-func measureBaseOp(cfg ListConfig) int64 {
+// measureBaseOp runs the interference-free probe: one job alone on one
+// processor, seeded one past the run, performing probeOps inserts and
+// deletes at the run's list size. Its worst op response (at least 1) is the
+// baseline per-operation cost.
+func measureBaseOp(cfg ListConfig, pol sched.Policy) (int64, error) {
 	const probeOps = 32
-	base := cfg
-	base.Processors = 1
-	base.BurstsPerCPU = 0
-	base.BurstOps = 0
-	base.TotalOps = probeOps
-	base.Check = false
-	if base.Kind == WaitFree && cfg.Processors == 1 {
-		base.Kind = WaitFree
-	}
-	if base.Kind == WaitFreeUni {
-		base.Kind = WaitFreeUni
-	}
-	pol, err := resolvePolicy(base.Policy)
-	if err != nil {
-		return 1
-	}
 	s := sched.New(sched.Config{
 		Processors:  1,
 		Seed:        cfg.Seed + 1,
-		MemWords:    3*(base.ListSize+probeOps+32) + 1<<13,
-		Granularity: base.Granularity,
+		MemWords:    3*(cfg.ListSize+probeOps+32) + 1<<13,
+		Granularity: cfg.Granularity,
 		Policy:      pol,
 	})
-	l, err := build(base, s, 1)
+	probe := cfg
+	probe.Processors, probe.TotalOps, probe.Check = 1, probeOps, false
+	inst, err := buildList(s, probe, 1)
 	if err != nil {
-		return 1
+		return 0, err
 	}
-	var worst int64 = 1
-	s.SpawnAt(0, 0, 1, "probe", func(e *sched.Env) {
-		for i := 0; i < probeOps; i++ {
-			key := uint64(1 + e.Rand().Intn(2*base.ListSize))
-			start := e.Now()
-			if e.Rand().Intn(2) == 0 {
-				l.Insert(e, key, key)
-			} else {
-				l.Delete(e, key)
-			}
-			if d := e.Now() - start; d > worst {
-				worst = d
-			}
-		}
-	})
+	registry.Cast{{
+		Name: "probe", Prio: 1, Release: arrival.Now,
+		Script: mix{seed: cfg.Seed + 1, n: probeOps, keys: 2 * cfg.ListSize, search: -1},
+	}}.Spawn(s, inst)
 	if err := s.Run(); err != nil {
-		return 1
+		return 0, fmt.Errorf("workload: base-op probe: %w", err)
 	}
-	return worst
+	return max(s.Report(string(cfg.Kind)).OpTime.Max, 1), nil
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -143,6 +144,22 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := RunList(ListConfig{Kind: WaitFree, Processors: 2, BurstsPerCPU: 10, BurstOps: 100, TotalOps: 10, ListSize: 5}); err == nil {
 		t.Error("burst ops exceeding total accepted")
+	}
+	// Configs that used to panic inside a job (an empty key range) or
+	// misreport themselves (a negative total read as a burst overflow)
+	// come back as plain errors.
+	for _, c := range []struct {
+		cfg  ListConfig
+		want string
+	}{
+		{ListConfig{Kind: WaitFree, Processors: 1, TotalOps: 10}, "list size 0"},
+		{ListConfig{Kind: WaitFree, Processors: 1, TotalOps: 0}, "list size 0"},
+		{ListConfig{Kind: WaitFree, Processors: 1, TotalOps: -5, ListSize: 5}, "total ops -5 is negative"},
+	} {
+		_, err := RunList(c.cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "goroutine") {
+			t.Errorf("%+v: err = %v, want a plain error naming %q", c.cfg, err, c.want)
+		}
 	}
 }
 
