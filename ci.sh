@@ -56,6 +56,20 @@ test "$(grep -rlE --include='*.go' --exclude='*_test.go' \
 # registry" honest.
 go test ./internal/registry/ -run TestRegistryCompleteness
 
+# Mutant corpus: each hand mutant is compiled in only under its build tag
+# (internal/core/multilist/mut_*.go), as tag:test, the test that must
+# kill it. The package must build with the tag, and the test must fail:
+# a mutant that passes is a guard that no longer guards.
+for m in mut_epoch_after_rv:TestEpochWindowSweep mut_epoch_winner_only:TestEpochWindowSweep; do
+    tag=${m%%:*}
+    killer=${m#*:}
+    go vet -tags "$tag" ./internal/core/multilist
+    if go test -count=1 -tags "$tag" -run "^$killer\$" ./internal/core/multilist > /dev/null; then
+        echo "ci.sh: mutant $tag survived $killer" >&2
+        exit 1
+    fi
+done
+
 mkdir -p artifacts
 
 go build -o /dev/null ./cmd/wftrace

@@ -13,8 +13,9 @@
 // An operation completes in Θ(2·P·T) worst-case time: two traversals of the
 // helping ring, at most one list operation helped per processor per
 // traversal.
-// Search first tries a read-only walk validated by the version word and
-// runs the protocol only when that walk saw V move.
+// Search first tries a read-only walk validated by the structure epoch S,
+// a word that only splicing and unsplicing rounds move, and runs the
+// protocol only when that walk saw S move.
 //
 // The Findpos scan advances the shared checkpoint Ann[R].ptr with CCAS. The
 // paper's measured configuration performed that CCAS "once for every 100
@@ -97,6 +98,11 @@ type List struct {
 	first, last arena.Ref
 	par         shmem.Addr // Par[p]: node, key, op (3 words; N+1 rows)
 	annPtr      shmem.Addr // Ann[R].ptr (P words)
+	// epoch is the structure epoch S: V.cnt of the last round that
+	// spliced or unspliced a node. Every round that changes a link bumps
+	// it, by a version-guarded CCAS, before its Rv reports; read
+	// validates against it.
+	epoch shmem.Addr
 }
 
 // Par field offsets.
@@ -130,7 +136,14 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*List, error) {
 	if err != nil {
 		return nil, fmt.Errorf("multilist: %w", err)
 	}
-	l := &List{mem: m, ar: ar, cc: cfg.CC, n: cfg.Procs, stride: cfg.Stride, par: par, annPtr: annPtr}
+	// S starts at 0, the count of V's initial round, whose Needhelp is
+	// clear: no round with count 0 ever helps, so none changes a link.
+	epoch, err := m.Alloc("Epoch", 1)
+	if err != nil {
+		return nil, fmt.Errorf("multilist: %w", err)
+	}
+	l := &List{mem: m, ar: ar, cc: cfg.CC, n: cfg.Procs, stride: cfg.Stride, par: par, annPtr: annPtr, epoch: epoch}
+	cfg.CC.InitWord(m, epoch, 0)
 	ar.SetNextImpl(cfg.CC)
 	l.first = ar.Static()
 	l.last = ar.Static()
@@ -239,23 +252,28 @@ func (l *List) Delete(e shmem.Ctx, key uint64) bool {
 }
 
 // readCheck is the number of hops Search's read-only walk takes between
-// checks of the version word. The check is what bounds a walk that strayed
-// into recycled nodes after V moved: it notices within readCheck hops.
+// checks of the structure epoch. The check is what bounds a walk that
+// strayed into recycled nodes after S moved: it notices within readCheck
+// hops.
 const readCheck = 4
 
 // Search reports whether key is present.
 //
 // It first walks the list read-only (read): no announce, no checkpoint, no
 // shared write. Every structural change happens by a CCAS naming the
-// helping round that decided it, each round makes at most one, and a node
-// is recycled only after V has left the round that unlinked it; so a walk
-// that saw V unchanged from its first load to its last saw at most one
-// splice or unsplice and no recycled node, and its answer is the key's
+// helping round that decided it, each round makes at most one, every
+// helper of that round sets S to the round's count before Rv reports, and
+// a node is recycled only after its unlinking round's Rv reported; so a
+// walk that saw S unchanged from its first load to its last saw at most
+// one splice or unsplice and no recycled node, and its answer is the key's
 // presence just before or just after that change (PROOFNOTES.md, "The
-// list's validated read"). Only when V moved does Search fall back to the
-// announce/help protocol (lines 55-58), which keeps it wait-free: its worst
-// case is one failed walk, about (2+1/readCheck) loads a hop over at most
-// T+1+readCheck hops, plus the Θ(2·P·T) protocol.
+// list's validated read"). Ring steps that change no link — searches,
+// duplicate inserts, deletes of absent keys, rounds with nothing to help —
+// leave S alone, so they cannot fail the walk. Only when S moved does
+// Search fall back to the announce/help protocol (lines 55-58), which
+// keeps it wait-free: its worst case is one failed walk, about
+// (2+1/readCheck) loads a hop over at most T+1+readCheck hops, plus the
+// Θ(2·P·T) protocol.
 func (l *List) Search(e shmem.Ctx, key uint64) bool {
 	l.checkKey(key)
 	p := e.Slot()
@@ -279,12 +297,12 @@ func (l *List) Search(e shmem.Ctx, key uint64) bool {
 	return found
 }
 
-// read walks First → … toward key with plain reads, loading the version
-// word at the start, every readCheck hops and when the walk stops. It
-// reports ok only if V held one value throughout; a NIL next pointer (a
+// read walks First → … toward key with plain reads, loading the structure
+// epoch at the start, every readCheck hops and when the walk stops. It
+// reports ok only if S held one value throughout; a NIL next pointer (a
 // node recycled mid-walk) fails the read too.
 func (l *List) read(e shmem.Ctx, key uint64) (found, ok bool) {
-	vw := e.Load(l.eng.VAddr())
+	sw := l.cc.Read(e, l.epoch)
 	curr := l.first
 	for hop := 1; ; hop++ {
 		next := arena.Ref(l.cc.Read(e, l.ar.NextAddr(curr)))
@@ -292,9 +310,9 @@ func (l *List) read(e shmem.Ctx, key uint64) (found, ok bool) {
 			return false, false
 		}
 		if nextkey := e.Load(l.ar.KeyAddr(next)); nextkey >= key {
-			return nextkey == key, e.Load(l.eng.VAddr()) == vw
+			return nextkey == key, l.cc.Read(e, l.epoch) == sw
 		}
-		if hop%readCheck == 0 && e.Load(l.eng.VAddr()) != vw {
+		if hop%readCheck == 0 && l.cc.Read(e, l.epoch) != sw {
 			return false, false
 		}
 		curr = next
@@ -320,12 +338,16 @@ func (l *List) help(e shmem.Ctx, ver helping.Version) {
 	if l.cc.Read(e, l.eng.RvAddr(pid)) != RvPending {          // line 46
 		return
 	}
+	// won: this helper's own CCAS made the round's structural change
+	// (read only by the mut_epoch_winner_only mutant).
+	var won bool
 	switch e.Load(l.parAddr(pid, parOp)) { // line 47
 	case opIns:
 		newNode := arena.Ref(l.cc.Read(e, l.parAddr(pid, parNode))) // line 49
 		if nextkey != key {                                         // line 48
 			l.cc.Exec(e, l.eng.VAddr(), vw, l.ar.NextAddr(newNode), uint64(arena.NIL), uint64(nextp)) // line 50
 			if l.cc.Exec(e, l.eng.VAddr(), vw, l.ar.NextAddr(curr), uint64(nextp), uint64(newNode)) { // line 51
+				won = true
 				if e.Traced() {
 					e.Note("splice", trace.I("p", int64(pid)), trace.I("key", int64(key)))
 				}
@@ -349,6 +371,7 @@ func (l *List) help(e shmem.Ctx, ver helping.Version) {
 		if nextkey == key { // line 52
 			l.cc.Exec(e, l.eng.VAddr(), vw, l.parAddr(pid, parNode), uint64(arena.NIL), uint64(nextp))  // line 53
 			if l.cc.Exec(e, l.eng.VAddr(), vw, l.ar.NextAddr(curr), uint64(nextp), uint64(nextnextp)) { // line 54
+				won = true
 				if e.Traced() {
 					e.Note("unsplice", trace.I("p", int64(pid)), trace.I("key", int64(key)))
 				}
@@ -367,12 +390,34 @@ func (l *List) help(e shmem.Ctx, ver helping.Version) {
 			l.cc.Exec(e, l.eng.VAddr(), vw, l.eng.RvAddr(pid), RvPending, RvFalse) // line 56
 			return                                                                 // line 57
 		}
+		l.cc.Exec(e, l.eng.VAddr(), vw, l.eng.RvAddr(pid), RvPending, RvTrue) // line 58
+		return
 	default:
 		// Guard row (pid == N) or a stale announce: all subsequent
 		// CCAS operations would fail on the version check anyway.
 		return
 	}
+	// The splice or unsplice is done, by this helper or an earlier one
+	// of the round. Every helper that gets here bumps S before Rv: the
+	// one whose CCAS made the change may have been preempted since, and
+	// Rv must not report (letting V advance and the owner free a node)
+	// while S still names an older round.
+	if !mutEpochAfterRv && (!mutEpochWinnerOnly || won) {
+		l.bumpEpoch(e, vw, ver.Cnt)
+	}
 	l.cc.Exec(e, l.eng.VAddr(), vw, l.eng.RvAddr(pid), RvPending, RvTrue) // line 58
+	if mutEpochAfterRv {
+		l.bumpEpoch(e, vw, ver.Cnt)
+	}
+}
+
+// bumpEpoch sets S to cnt, the count of the round vw, unless it already
+// holds it. Every helper of the round writes the same value, so the bump is
+// idempotent, and a stale helper's CCAS fails on V.
+func (l *List) bumpEpoch(e shmem.Ctx, vw, cnt uint64) {
+	if s := l.cc.Read(e, l.epoch); s != cnt {
+		l.cc.Exec(e, l.eng.VAddr(), vw, l.epoch, s, cnt)
+	}
 }
 
 // findpos resumes the scan for the operation of process help on the round

@@ -91,6 +91,12 @@ func multiListChecked(l List, chk *check.MultiListChecker) (applyFn, func() erro
 	return apply, func() error { chk.Finish(); return chk.Err() }
 }
 
+// errNoChecker rejects Config.Check for an object with no white-box
+// checker, rather than let it report a checked run that nothing checked.
+func errNoChecker(name string) error {
+	return fmt.Errorf("registry: %s has no white-box checker (Config.Check); check it with the black-box engine (internal/linz)", name)
+}
+
 // simMem returns the simulated memory behind b for the white-box checkers.
 // Normalize rejects Config.Check off-simulator, so b.Sim() is non-nil on
 // every path that reaches here.
@@ -748,6 +754,9 @@ func init() {
 	register(&Descriptor{
 		Name: "locklist", Pkg: "baseline/locklist", Family: FamilyBaseline, Model: ModelSorted,
 		New: func(b Backend, cfg Config) (Instance, error) {
+			if cfg.Check {
+				return nil, errNoChecker("locklist")
+			}
 			ar, err := newArena(b, cfg)
 			if err != nil {
 				return nil, err
@@ -769,6 +778,9 @@ func init() {
 	register(&Descriptor{
 		Name: "herlihy", Pkg: "baseline/herlihy", Family: FamilyBaseline, Model: ModelSorted,
 		New: func(b Backend, cfg Config) (Instance, error) {
+			if cfg.Check {
+				return nil, errNoChecker("herlihy")
+			}
 			if len(cfg.SeedKeys) > 0 {
 				return nil, fmt.Errorf("registry: the herlihy universal construction does not support seeding")
 			}

@@ -21,9 +21,9 @@ var scenarioDigests = map[string][2]uint64{
 	"multihash/burst":    {0xb67be7d45c7d8c43, 0xdf0f4ad10590241f},
 	"multihash/none":     {0xba067c9905e30545, 0x2b3a2d06c520dda0},
 	"multihash/stagger":  {0x31cf5f5b6a354c27, 0xb7843a94e8bc18ae},
-	"multilist/burst":    {0x2ff9350ec484b73c, 0x6f06942a145c866},
-	"multilist/none":     {0xf0db7a1916186169, 0xb372cc2911405dfa},
-	"multilist/stagger":  {0x3b785b6d07face81, 0xa0ab232a281b3178},
+	"multilist/burst":    {0xe528de22936f16e8, 0x20fb65ae029dfbd6},
+	"multilist/none":     {0x8408875110eb3576, 0x67425bcfa5731910},
+	"multilist/stagger":  {0x8b897505e60634d4, 0x555b67af561b6025},
 	"multimwcas/burst":   {0xed244db4970e6e53, 0xd9b9669a8cbb88ae},
 	"multimwcas/none":    {0x61f88adcc1400e08, 0x1e75066ded7a17f0},
 	"multimwcas/stagger": {0xa07ab14a9c3ea521, 0x7009cce2615f6612},

@@ -16,8 +16,8 @@ import (
 var workloadDigests = map[string]uint64{
 	"casonly-valois":         0xdf96722cbae23747,
 	"lockbased":              0x847d97ab23f3beba,
-	"waitfree/fcfs":          0x607892c479ca817,
-	"waitfree/priority-fcfs": 0xe0ab9440f98086b5,
+	"waitfree/fcfs":          0x99fb2ee8b78e93f3,
+	"waitfree/priority-fcfs": 0x7dbdb7e6c1f41b0f,
 	"waitfree-uni/check":     0xce623c6e32ac4a35,
 	"mwcas-multi/tagged":     0x634fac44788bc299,
 }

@@ -155,6 +155,9 @@ func TestConfigValidation(t *testing.T) {
 		{ListConfig{Kind: WaitFree, Processors: 1, TotalOps: 10}, "list size 0"},
 		{ListConfig{Kind: WaitFree, Processors: 1, TotalOps: 0}, "list size 0"},
 		{ListConfig{Kind: WaitFree, Processors: 1, TotalOps: -5, ListSize: 5}, "total ops -5 is negative"},
+		// The spin-lock list has no checker to arm: a checked run would
+		// report clean with nothing checked.
+		{ListConfig{Kind: LockBased, Processors: 1, TotalOps: 200, ListSize: 10, Check: true}, "locklist has no white-box checker"},
 	} {
 		_, err := RunList(c.cfg)
 		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "goroutine") {
