@@ -148,7 +148,11 @@ for v in waitfree atomic lock sharded; do
 done
 grep -q '"backend": "sim"' artifacts/BENCH_service.json
 grep -q '"backend": "native"' artifacts/BENCH_service.json
-! grep -q '"writes_per_sec": 0[,}]' artifacts/BENCH_service.json
+# (A bare `! grep` never trips set -e, so the zero-rate check exits by hand.)
+if grep -q '"writes_per_sec": 0[,}]' artifacts/BENCH_service.json; then
+    echo "ci: a service variant reports zero logical writes per second" >&2
+    exit 1
+fi
 grep -q '"policy_table"' artifacts/BENCH_service.json
 
 # Flight recorder: a native run drained into the standard span pipeline
@@ -210,11 +214,12 @@ go test ./internal/sched/ -run TestRunAheadPolicyGate -count=1
 go test ./internal/registry/ -run TestNativeAllocGate -count=1
 
 # Perf gates: -exp core re-measures the serial and run-ahead simulator
-# core (asserting the two modes still agree exactly) and fails if
-# run-ahead ns/slice regresses more than 25% against the committed
-# baseline, or if the geomean checked-sweep speedup falls more than 25%
-# below the baseline's. Set WF_SKIP_PERF_GATE=1 on hosts too noisy for
-# timing assertions (it skips both gates).
+# core (asserting the two modes still agree exactly) and fails if the
+# exact dispatch counters (coroutine switches and scheduling decisions
+# per slice, one-CPU loop and two-CPU duet, both modes) differ from the
+# committed baseline, or if run-ahead ns/slice regresses more than 25%
+# against it. Set WF_SKIP_PERF_GATE=1 on hosts too noisy for timing
+# assertions (it skips both gates).
 if [ -z "${WF_SKIP_PERF_GATE:-}" ]; then
     go run ./cmd/wfbench -exp core -outdir artifacts -corebaseline testdata/BENCH_core.json
 fi

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/shmem"
 )
@@ -278,6 +279,30 @@ func TestPickNextOrder(t *testing.T) {
 	}
 	if got := s.pickNextLocked(); got != nil {
 		t.Fatalf("pick 5: got prio %d, want nil (shard idle)", got.prio)
+	}
+}
+
+// TestShardLayout pins the shard padding: the wanted flag that every runner
+// polls at each memory operation starts a cache line and owns it, and the
+// struct spans whole lines, so neither this shard's mutex nor the next
+// allocation's can share the flag's line.
+func TestShardLayout(t *testing.T) {
+	var s shard
+	off, size := unsafe.Offsetof(s.wanted), unsafe.Sizeof(s)
+	if off%cacheLine != 0 {
+		t.Errorf("wanted at offset %d, want a multiple of %d", off, cacheLine)
+	}
+	if end := unsafe.Offsetof(s.preempted) + unsafe.Sizeof(s.preempted); end > off {
+		t.Errorf("preempted ends at %d, past wanted at %d", end, off)
+	}
+	if size != off+cacheLine {
+		t.Errorf("shard is %d bytes, want %d: wanted must own the last line alone", size, off+cacheLine)
+	}
+	w := NewWorld(NewMem(8), 4)
+	for i, sh := range w.shards {
+		if a := uintptr(unsafe.Pointer(&sh.wanted)); a%cacheLine != 0 {
+			t.Errorf("shard %d: wanted at %#x, not line-aligned", i, a)
+		}
 	}
 }
 

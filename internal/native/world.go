@@ -99,6 +99,11 @@ func (w *World) HelpReceived(p int) uint64 {
 // strictly higher priority), so its top is always the highest-priority
 // preempted process; pickNextLocked compares it against the best waiting
 // arrival.
+//
+// The layout keeps wanted alone on the second of two cache lines, and the
+// struct two lines long, so the flag every runner polls shares no line with
+// this shard's mutex or with a neighbouring allocation (pinned by
+// TestShardLayout).
 type shard struct {
 	mu        sync.Mutex
 	running   *Proc
@@ -108,7 +113,11 @@ type shard struct {
 	// when some waiter outranks the current runner. Runners poll it with
 	// one atomic load per memory operation.
 	wanted atomic.Bool
+	_      [cacheLine - 4]byte // 4: the size of atomic.Bool
 }
+
+// cacheLine is the cache-line size the shard layout pads to.
+const cacheLine = 64
 
 func (s *shard) bestWaitingLocked() int {
 	best := -1

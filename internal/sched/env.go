@@ -26,17 +26,19 @@ type Env struct {
 
 	// pending is the virtual-time cost accumulated since the last yield.
 	pending int64
-	// yield hands control back to the scheduler: iter.Pull's direct
-	// goroutine switch (see Sim.startIfNeeded). It is set while a job body
-	// runs and returns false when the coroutine is being unwound.
+	// yield hands control back to whoever last resumed this process — Run
+	// or a hosting process (see Env.handOff) — with iter.Pull's direct
+	// goroutine switch. It is set while a job body runs and returns false
+	// when the coroutine is being unwound.
 	yield func(yieldMsg) bool
 	// budget and horizon arm the run-ahead fast path (Sim.grantRunAhead):
 	// while budget > 0, yieldNow may conclude a slice locally — advancing
-	// the processor clock and the slice counters without the scheduler
-	// round trip — as long as the new clock stays strictly below horizon.
-	// Both are written by the scheduler before it resumes this process and
-	// read/written by the coroutine afterwards; the coroutine's strict
-	// resume/yield rendezvous orders those accesses.
+	// the processor clock and the slice counters without a scheduling
+	// decision — as long as the new clock stays strictly below horizon.
+	// Both are written by the decision that dispatches this process and
+	// read/written by the coroutine afterwards; only the goroutine holding
+	// control touches them, and the coroutines' strict resume/yield
+	// rendezvous orders those accesses.
 	budget  int64
 	horizon int64
 	// noPreempt > 0 suppresses preemption on this processor (Figure 8(b)
@@ -70,37 +72,86 @@ func (e *Env) point(cost int64, sync bool) {
 // operations between preemption points under Coarse granularity.
 const coarseSliceOps = 32
 
-// yieldNow hands control back to the scheduler and blocks until this process
-// is dispatched again. The pending cost is reset before the yield: from
-// then until the resume, the scheduler owns all simulator state (including
-// this Env's fields).
+// yieldNow ends this process's slice at a preemption point and blocks until
+// the process is dispatched again. Inside Run the process concludes the
+// slice and makes the next scheduling decision itself (handOff); a process
+// resumed outside Run (a hand-driven test) hands the unconcluded slice back
+// to its resumer instead. The pending cost is reset first: from then until
+// the process runs again, the deciding code owns all simulator state
+// (including this Env's fields).
 func (e *Env) yieldNow() {
-	if e.sim.aborting {
+	s := e.sim
+	if s.aborting {
 		panic(errAborted)
 	}
 	if e.budget > 0 {
-		// Run-ahead fast path: the scheduler granted this process a
+		// Run-ahead fast path: the last decision granted this process a
 		// batch of slices (grantRunAhead). Conclude the slice locally —
-		// same clock advance, same slice accounting, no scheduler round
-		// trip — while the clock stays strictly below the event
-		// horizon. The scheduler is suspended in runSlice's resume for
-		// the whole batch, so these writes to shared simulator state
+		// same clock advance, same slice accounting, no decision — while
+		// the clock stays strictly below the event horizon. Nothing else
+		// runs during the batch, so these writes to shared simulator state
 		// are exclusive.
 		if nc := e.cpu.clock + e.pending; nc < e.horizon {
 			e.budget--
 			e.cpu.clock = nc
 			e.pending = 0
-			e.sim.slices++
+			s.slices++
 			e.p.Slices++
 			return
 		}
 	}
-	cost := e.pending
+	msg := yieldMsg{kind: yieldPoint, cost: e.pending}
 	e.pending = 0
-	if !e.yield(yieldMsg{kind: yieldPoint, cost: cost}) {
-		panic(errAborted)
+	if !s.ran {
+		e.yieldUp(msg)
+		return
 	}
-	if e.sim.aborting {
+	s.conclude(e.p, msg)
+	e.handOff()
+}
+
+// handOff hands the processor straight to the next process: it makes the
+// scheduling decision Run would make and acts on it from this coroutine.
+//
+//   - The decision is this process: it keeps running, with no switch.
+//   - The decision is a suspended process: this process resumes it directly
+//     and hosts it until control comes back. A hosted process that finishes
+//     or panics returns here to be concluded, and the decision repeats.
+//   - The decision is a hosting process (necessarily an ancestor on the
+//     hosting chain) or the end of the run: a pass addressed to it travels
+//     up the chain, each host forwarding what is not addressed to it.
+//
+// Every decision is the one Run's own loop would take at the same point,
+// in the same order and at the same clocks, so runs are identical
+// whichever goroutine makes them.
+func (e *Env) handOff() {
+	s, p := e.sim, e.p
+	for {
+		q := s.step()
+		if q == p {
+			return
+		}
+		if q == nil || q.hosting {
+			e.yieldUp(yieldMsg{kind: yieldPass, to: q})
+			return
+		}
+		p.hosting = true
+		msg := s.resume(q)
+		p.hosting = false
+		if msg.kind == yieldPass {
+			if msg.to != p {
+				e.yieldUp(msg)
+			}
+			return
+		}
+		s.conclude(q, msg)
+	}
+}
+
+// yieldUp yields msg to this process's resumer. When the yield returns, the
+// process has been dispatched again, unless the run is shutting down.
+func (e *Env) yieldUp(msg yieldMsg) {
+	if !e.yield(msg) || e.sim.aborting {
 		panic(errAborted)
 	}
 }

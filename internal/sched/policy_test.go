@@ -257,9 +257,11 @@ func TestRunAheadPolicyGate(t *testing.T) {
 				}
 				p.state = stateRunning
 				if run {
+					// Outside Run the process hands its unconcluded
+					// slice back here instead of deciding itself.
 					p.env.budget, p.env.horizon = 0, 0
-					s.runSlice(c, p)
-					s.slices++
+					s.startIfNeeded(p)
+					s.conclude(p, s.resume(p))
 					return p, false
 				}
 				s.grantRunAhead(c, p)

@@ -13,11 +13,12 @@
 //   - memory is sequentially consistent and CAS (and, natively, CCAS/CAS2)
 //     is atomic.
 //
-// Simulated processes are iter.Pull coroutines: the scheduler resumes one,
-// it runs until its next preemption point (every shared-memory operation in
-// Fine granularity), and yields control back. Exactly one simulated process
-// executes at any real instant, so simulated shared memory needs no locking
-// and every run is deterministic given its seed and job set.
+// Simulated processes are iter.Pull coroutines: a process runs until its next
+// preemption point (every shared-memory operation in Fine granularity), then
+// makes the next scheduling decision itself and hands the processor straight
+// to the chosen process (see Sim.step and Env.handOff). Exactly one simulated
+// process executes at any real instant, so simulated shared memory needs no
+// locking and every run is deterministic given its seed and job set.
 //
 // Multiprocessor parallelism is modelled as an interleaving: each simulated
 // processor has a virtual clock that advances by the cost of the operations
@@ -166,6 +167,11 @@ type Proc struct {
 	next func() (yieldMsg, bool)
 	stop func()
 
+	// hosting marks a process blocked inside another process's next: it
+	// resumed that process from its own preemption point (Env.handOff) and
+	// waits for control to come back up the chain. A hosting process cannot
+	// be resumed; a decision for it is passed upward instead.
+	hosting   bool
 	started   bool
 	enqueueNo int   // FIFO tiebreak among equal policy keys
 	key       int64 // policy ordering key, computed once at release
@@ -191,6 +197,10 @@ type Proc struct {
 	// per-operation response times it recorded (Env.RecordOp).
 	helpGiven int
 	opSamples []int64
+	// panicVal and panicStack hold a body's panic for the yieldPanicked
+	// message that reports it.
+	panicVal   any
+	panicStack []byte
 }
 
 // ID returns the process identifier (dense, in spawn order).
@@ -215,16 +225,22 @@ func (p *Proc) QuiescentRelease() bool { return p.quiescent }
 type yieldKind int
 
 const (
+	// yieldPoint reports an unconcluded slice of the given cost; only a
+	// process resumed outside Run (a hand-driven test) sends it.
 	yieldPoint yieldKind = iota + 1
 	yieldFinished
 	yieldPanicked
+	// yieldPass carries an already-made decision up the hosting chain to
+	// the hosting process to (nil: Run itself, which ends the run).
+	yieldPass
 )
 
+// yieldMsg is what a coroutine hands its resumer. It stays small, since
+// every switch copies it; a panic's value and stack wait on the Proc.
 type yieldMsg struct {
-	kind  yieldKind
-	cost  int64
-	pval  any
-	stack []byte
+	kind yieldKind
+	cost int64
+	to   *Proc
 }
 
 type cpuState struct {
@@ -255,6 +271,12 @@ type Sim struct {
 
 	slices    uint64
 	enqueueNo int
+	// resumes counts coroutine resumes (each is two goroutine switches:
+	// into the process and, later, back out of it) and decisions counts
+	// scheduling decisions (Sim.step picks); both are exact, so the core
+	// benchmark gates on them.
+	resumes   uint64
+	decisions uint64
 	ran       bool
 	aborting  bool
 	failure   error
@@ -354,6 +376,8 @@ func (s *Sim) Reset(cfg Config) *Sim {
 	s.pendingSlice = s.pendingSlice[:0]
 	s.slices = 0
 	s.enqueueNo = 0
+	s.resumes = 0
+	s.decisions = 0
 	s.ran = false
 	s.aborting = false
 	s.failure = nil
@@ -422,7 +446,7 @@ func Release(s *Sim) {
 
 // runAheadEnabled globally gates the run-ahead fast path (see
 // grantRunAhead). It exists so benchmarks and differential tests can compare
-// the serial path (every slice handed back to the scheduler loop: the same
+// the serial path (every slice ends in a scheduling decision: the same
 // coroutine with a zero grant) and the batched one without plumbing a Config
 // flag through every call site; both paths produce byte-identical runs. It
 // must only be toggled while no simulation is running.
@@ -459,6 +483,14 @@ func (s *Sim) Rand() *rand.Rand {
 
 // Slices returns the number of slices executed so far.
 func (s *Sim) Slices() uint64 { return s.slices }
+
+// Resumes returns the number of coroutine resumes so far. Each costs two
+// goroutine switches: one into the process, one back out of it.
+func (s *Sim) Resumes() uint64 { return s.resumes }
+
+// Decisions returns the number of scheduling decisions made so far: slices
+// that a run-ahead grant concluded locally need none.
+func (s *Sim) Decisions() uint64 { return s.decisions }
 
 // Policy returns the run's scheduling discipline (never nil).
 func (s *Sim) Policy() Policy { return s.policy }
@@ -649,11 +681,13 @@ func (s *Sim) pick(c *cpuState) *Proc {
 }
 
 // startIfNeeded launches the coroutine on first dispatch. iter.Pull hands
-// control scheduler ↔ coroutine with a direct goroutine switch — the
-// dominant per-slice cost on contended multiprocessor runs, where the
-// clock-crossing horizon forbids any batching grant. A recycled Proc's
-// coroutine is still parked in its coloop from the previous schedule and
-// resumes into the new body directly.
+// control between coroutines with a direct goroutine switch, the dominant
+// per-slice cost on contended multiprocessor runs, where the clock-crossing
+// horizon forbids any batching grant. Any goroutine that holds control may
+// resume the coroutine: Run for the first slice, afterwards whichever
+// process made the decision (Env.handOff). A recycled Proc's coroutine is
+// still parked in its coloop from the previous schedule and resumes into the
+// new body directly.
 func (s *Sim) startIfNeeded(p *Proc) {
 	if p.started {
 		return
@@ -666,11 +700,11 @@ func (s *Sim) startIfNeeded(p *Proc) {
 }
 
 // coloop is the persistent coroutine: one job body per resume, parking at
-// the body's final yield until the scheduler installs the next body (Proc
+// the body's final yield until a resumer installs the next body (Proc
 // recycling across Reset — see takeProc) or unwinds the loop (stopCoro
-// makes the parked yield return false). iter.Pull guarantees the coroutine
-// is suspended whenever the scheduler runs (next() and yield() form a
-// strict rendezvous), so exactly one side touches simulator state at a
+// makes the parked yield return false). iter.Pull's next and yield form a
+// strict rendezvous, and only the one coroutine (or Run) that holds control
+// ever resumes another, so exactly one side touches simulator state at a
 // time. Persisting the coroutine across schedules removes the per-run
 // iter.Pull construction — coroutine, stack and closure — that dominated
 // the sweep-mode allocation profile.
@@ -690,7 +724,8 @@ func (p *Proc) runBody(yield func(yieldMsg) bool) (msg yieldMsg) {
 		e.yield = nil
 		msg = yieldMsg{kind: yieldFinished, cost: e.pending}
 		if r := recover(); r != nil && r != errAborted { //nolint:errorlint // sentinel identity is intended
-			msg = yieldMsg{kind: yieldPanicked, pval: r, stack: debug.Stack()}
+			msg = yieldMsg{kind: yieldPanicked}
+			p.panicVal, p.panicStack = r, debug.Stack()
 		}
 	}()
 	p.spec.Body(e)
@@ -710,19 +745,26 @@ func (p *Proc) stopCoro() {
 	p.next, p.stop = nil, nil
 }
 
-// runSlice resumes p until its next preemption point and applies the cost.
-func (s *Sim) runSlice(c *cpuState, p *Proc) {
-	s.startIfNeeded(p)
-	p.Slices++
-	s.mem.SetCurrentProc(p.id)
-	// On a final message the coroutine stays parked inside coloop's closing
-	// yield, ready for the Proc's next body (takeProc) — Release unwinds it
-	// before pooling the Sim. It only ends without a message when stopped,
-	// which runSlice never sees; treat that defensively as completion.
+// resume switches into p, already prepared by step, and returns the message
+// it yields back: its final one, or a pass on its way up the hosting chain.
+// On a final message the coroutine stays parked inside coloop's closing
+// yield, ready for the Proc's next body (takeProc) — Release unwinds it
+// before pooling the Sim. It only ends without a message when stopped, which
+// a run never sees; treat that defensively as completion.
+func (s *Sim) resume(p *Proc) yieldMsg {
+	s.resumes++
 	msg, ok := p.next()
 	if !ok {
 		msg = yieldMsg{kind: yieldFinished}
 	}
+	return msg
+}
+
+// conclude applies the end of p's slice — its cost, completion or panic —
+// and counts the slice against the watchdog. Run calls it for final
+// messages; a process concludes its own preemption points (Env.yieldNow).
+func (s *Sim) conclude(p *Proc, msg yieldMsg) {
+	c := p.env.cpu
 	s.mem.SetCurrentProc(-1)
 	if p.env.horizon > 0 {
 		// The slice ran with a run-ahead grant, so the coroutine may have
@@ -759,21 +801,48 @@ func (s *Sim) runSlice(c *cpuState, p *Proc) {
 			s.occDirty = true
 		}
 		if s.failure == nil {
-			s.failure = fmt.Errorf("sched: process %q (id %d) panicked: %v\n%s", p.spec.Name, p.id, msg.pval, msg.stack)
+			s.failure = fmt.Errorf("sched: process %q (id %d) panicked: %v\n%s", p.spec.Name, p.id, p.panicVal, p.panicStack)
 		}
 	}
 	// Note: p.env.pending is owned by the coroutine (reset in yieldNow
-	// before it yields); the scheduler must not touch it.
+	// before it concludes); the scheduler must not touch it.
+	s.slices++
+	if s.slices > s.cfg.MaxSteps {
+		s.failure = fmt.Errorf("%w (limit %d)", ErrWatchdog, s.cfg.MaxSteps)
+	}
 }
 
 // Run executes the simulation until every released job completes. It returns
 // the first process panic or a watchdog error, if any. Run may be called
 // once.
+//
+// Run makes the first decision and resumes the chosen process; from then on
+// the processes schedule each other (Env.handOff), and control comes back
+// here only when a process finishes or panics as Run's direct child, or when
+// the run is over (a pass addressed to Run).
 func (s *Sim) Run() error {
 	if s.ran {
 		return errors.New("sched: Run called twice")
 	}
 	s.ran = true
+	for p := s.step(); p != nil; p = s.step() {
+		msg := s.resume(p)
+		if msg.kind == yieldPass {
+			break // nothing hosts Run: the pass ends the run
+		}
+		s.conclude(p, msg)
+	}
+	s.shutdown()
+	return s.failure
+}
+
+// step makes the next scheduling decision: it delivers due arrivals, picks
+// the busy processor with the smallest clock and the process to run there,
+// dispatches it, arms its run-ahead grant, and prepares its slice. It
+// returns nil once the run is over (a failure, or no work left). step runs
+// on whichever goroutine holds control — Run's or a process's coroutine —
+// and decides identically on each.
+func (s *Sim) step() *Proc {
 	for s.failure == nil {
 		if len(s.pendingSlice) > 0 {
 			s.deliverSliceArrivals()
@@ -830,7 +899,7 @@ func (s *Sim) Run() error {
 				s.pendingSlice = s.pendingSlice[:0]
 				continue
 			}
-			break // no work left
+			return nil // no work left
 		}
 		p := s.pick(c)
 		if p == nil {
@@ -842,14 +911,13 @@ func (s *Sim) Run() error {
 			s.emit(trace.KindDispatch, c.id, p, "")
 		}
 		s.grantRunAhead(c, p)
-		s.runSlice(c, p)
-		s.slices++
-		if s.slices > s.cfg.MaxSteps {
-			s.failure = fmt.Errorf("%w (limit %d)", ErrWatchdog, s.cfg.MaxSteps)
-		}
+		s.decisions++
+		s.startIfNeeded(p)
+		p.Slices++
+		s.mem.SetCurrentProc(p.id)
+		return p
 	}
-	s.shutdown()
-	return s.failure
+	return nil
 }
 
 // rebuildOccupancy recomputes the busy/idle partition of the processors,
@@ -963,12 +1031,12 @@ func (s *Sim) shutdown() {
 			continue
 		}
 		// Resume until the body unwinds: the coroutine observes aborting
-		// at its next preemption point, and the errAborted sentinel
+		// as soon as its parked yield returns, and the errAborted sentinel
 		// surfaces as its final yield. The loop then parks for reuse, like
 		// a normal completion.
 		for {
 			m, ok := p.next()
-			if !ok || m.kind != yieldPoint {
+			if !ok || m.kind == yieldFinished || m.kind == yieldPanicked {
 				break
 			}
 		}
