@@ -28,8 +28,10 @@ go test -race ./internal/sched/... ./internal/trace/... ./internal/tracex/... ./
 # race detector — 32-wide stress with conservation-law oracles plus the
 # black-box differential tests against the Wing-Gong engine — and the
 # Figure 8 software CCAS, whose GuardedCAS window runs straight on real
-# goroutines.
+# goroutines. The registry's native harness (the one place goroutines are
+# spawned against a native world) runs its own tests under the detector too.
 go test -race -short ./internal/native/... ./internal/prim/...
+go test -race -short -run Native ./internal/registry/
 
 # Service subsystem: hot-key counter and token-bucket limiter, all four
 # store variants on real goroutines under the race detector, with the

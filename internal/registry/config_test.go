@@ -50,7 +50,7 @@ func TestZeroConfigBuildsAndApplies(t *testing.T) {
 			check(t, inst, got)
 		})
 		t.Run(d.Name+"/native", func(t *testing.T) {
-			w, place := nativeLayout(d, native.NewMem(1<<17), 2)
+			w, place := nativeLayout(d.Family, native.NewMem(1<<17), 2)
 			inst, err := BuildOn(NativeBackend(w), d.Name, Config{})
 			if err != nil {
 				t.Fatal(err)
@@ -87,7 +87,7 @@ func TestMWCASRejectsBadWordIndices(t *testing.T) {
 				t.Errorf("%s model accepted %v", name, op.Words)
 			}
 		}
-		w, place := nativeLayout(d, native.NewMem(1<<16), 1)
+		w, place := nativeLayout(d.Family, native.NewMem(1<<16), 1)
 		inst, err := BuildOn(NativeBackend(w), name, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func TestNativeAllocGate(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			d := Lookup0(name)
 			cfg := Config{Procs: 1, Capacity: 4*nativeAllocOps + 64, Words: 4}
-			w, place := nativeLayout(d, native.NewMem(1<<18), 2)
+			w, place := nativeLayout(d.Family, native.NewMem(1<<18), 2)
 			inst, err := BuildOn(NativeBackend(w), name, cfg)
 			if err != nil {
 				t.Fatal(err)

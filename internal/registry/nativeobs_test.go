@@ -194,3 +194,22 @@ func TestNativeObsOffByDefault(t *testing.T) {
 		t.Fatal("unobserved run returned a Report or TraceLog")
 	}
 }
+
+// TestNativeShardsCapped: the multiprocessor layout never makes more
+// shards than processes, so a one-process run has one processor.
+func TestNativeShardsCapped(t *testing.T) {
+	d, err := Lookup("multilist")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := d.StressConfig(1)
+	cfg.Check = false
+	cfg.Capacity = 0
+	res, err := d.RunNative(NativeRun{Procs: 1, Ops: 20, Seed: 5, Cfg: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.World.Processors(); got != 1 {
+		t.Fatalf("one-process multilist run has %d processors, want 1", got)
+	}
+}

@@ -266,8 +266,14 @@ type Sim struct {
 	rngSeed  int64
 	rngDirty bool
 
-	pendingTime  []*Proc // released by virtual time, sorted by (At, id)
-	pendingSlice []*Proc // released by slice count, sorted by (AfterSlices, id)
+	// pendingTime (released by virtual time) and pendingSlice (released
+	// by slice count) hold unreleased processes in spawn order: Spawn
+	// appends, and every consumer scans the whole list. Processes that
+	// fall due together are released in list order, which stamps their
+	// enqueueNo and emits their arrival events, so release order must
+	// stay spawn order.
+	pendingTime  []*Proc
+	pendingSlice []*Proc
 
 	slices    uint64
 	enqueueNo int

@@ -3,20 +3,19 @@ package service
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/native"
 	"repro/internal/registry"
-	"repro/internal/shmem"
 )
 
-// The native driver: the same scenario on real hardware. Procs
-// goroutines each stream their generated requests into the store with
-// one Begin/End shard window per request, so the per-goroutine latency
-// histograms measure the full hot path (shard wait included). The
-// wait-free variant runs on a priority-disciplined sharded world — the
+// The native driver: the same scenario on real hardware, run through
+// the registry's native harness. Procs goroutines each stream their
+// generated requests into the store with one Begin/End shard window per
+// request, so the per-goroutine latency histograms measure the full hot
+// path (shard wait included). The wait-free variant runs on the
+// multiprocessor family's priority-disciplined sharded world — the
 // scheduling regime the paper's objects are built for — while the
 // atomic/lock/sharded variants run free, the anything-goes regime they
 // are designed for.
@@ -29,9 +28,6 @@ type NativeConfig struct {
 	Procs int
 	// Requests is each goroutine's request count (default 200).
 	Requests int
-	// Shards is the wait-free variant's shard count (default GOMAXPROCS;
-	// the other variants run on a free world).
-	Shards int
 	// Traffic shapes the request stream (same generator as the sim).
 	Traffic TrafficConfig
 	// Budget and Batch pass through to StoreConfig.
@@ -47,16 +43,9 @@ type NativeConfig struct {
 type NativeResult struct {
 	Cfg    NativeConfig
 	Report *metrics.Report
-
-	Requests, Applied, Lost int
-	Admitted, Denied        int
-	Retries                 int
-	// Steps is the total shared-memory operations; Elapsed the
-	// wall-clock spawn-to-join time.
-	Steps   uint64
+	Outcome
+	// Elapsed is the wall-clock spawn-to-join time.
 	Elapsed time.Duration
-	Totals  []uint64
-	Admits  map[TenantWindow]int
 }
 
 // RunNative executes one service scenario on real goroutines.
@@ -67,37 +56,21 @@ func RunNative(cfg NativeConfig) (*NativeResult, error) {
 	if cfg.Requests == 0 {
 		cfg.Requests = 200
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
 	cfg.Traffic = cfg.Traffic.Normalized()
 	if cfg.Procs < 1 || cfg.Requests < 1 {
 		return nil, fmt.Errorf("service: native sizing out of range (procs=%d requests=%d)", cfg.Procs, cfg.Requests)
 	}
+	if err := cfg.Traffic.check(cfg.Requests); err != nil {
+		return nil, err
+	}
 	N := cfg.Procs
 	mem := native.NewMem(1<<16 + N*(cfg.Traffic.Keys+cfg.Traffic.Tenants+128) + 2*N*cfg.Traffic.Keys)
-
-	// The wait-free variant gets the priority-disciplined sharded world
-	// (slot dealt round-robin: cpu slot%shards, distinct priorities within
-	// a shard); the rest run free, their natural regime.
-	var w *native.World
-	place := func(slot int) (int, shmem.Priority) { return 0, 0 }
+	fam := registry.FamilyBaseline
 	if cfg.Variant == WaitFree {
-		shards := cfg.Shards
-		if shards > N {
-			shards = N
-		}
-		w = native.NewWorld(mem, shards)
-		place = func(slot int) (int, shmem.Priority) {
-			return slot % shards, shmem.Priority(slot / shards)
-		}
-	} else {
-		w = native.NewFreeWorld(mem)
+		fam = registry.FamilyMulti
 	}
-	if cfg.Obs {
-		w.EnableObs(native.ObsConfig{Metrics: true})
-	}
-	st, err := NewStore(registry.NativeBackend(w), StoreConfig{
+	h := registry.NewNativeHarness(fam, mem, N, native.ObsConfig{Metrics: cfg.Obs})
+	st, err := NewStore(registry.NativeBackend(h.World), StoreConfig{
 		Kind: cfg.Kind, Variant: cfg.Variant,
 		Keys: cfg.Traffic.Keys, Tenants: cfg.Traffic.Tenants,
 		Slots: N, Budget: cfg.Budget, Batch: cfg.Batch,
@@ -106,115 +79,26 @@ func RunNative(cfg NativeConfig) (*NativeResult, error) {
 		return nil, err
 	}
 
-	procs := make([]*native.Proc, N)
-	for i := range procs {
-		cpu, prio := place(i)
-		procs[i] = w.NewProc(i, cpu, prio)
-	}
-
-	type slotTally struct {
-		applied, admitted, denied, lost, retries int
-		deltas                                   uint64
-		admits                                   map[TenantWindow]int
-	}
 	tallies := make([]slotTally, N)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < N; i++ {
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			p := procs[slot]
-			t := &tallies[slot]
-			t.admits = make(map[TenantWindow]int, cfg.Requests/4+1)
-			reqs := cfg.Traffic.Requests(cfg.Seed, slot, cfg.Requests)
-			for _, req := range reqs {
-				p.Begin()
-				resp := st.Apply(p, slot, req)
-				p.End()
-				t.retries += resp.Retries
-				if !resp.Applied {
-					t.lost++
-					continue
-				}
-				t.applied++
-				switch {
-				case cfg.Kind == Counter:
-					t.deltas += req.Delta
-				case resp.Admitted:
-					t.admitted++
-					t.admits[TenantWindow{req.Tenant, req.Window}]++
-				default:
-					t.denied++
-				}
-			}
+	hr := h.Run(fmt.Sprintf("service-%s-%s", cfg.Kind, cfg.Variant), cfg.Seed, func(p *native.Proc, slot int) {
+		t := &tallies[slot]
+		*t = newSlotTally(cfg.Requests)
+		for _, req := range cfg.Traffic.Requests(cfg.Seed, slot, cfg.Requests) {
 			p.Begin()
-			st.Flush(p, slot)
+			resp := st.Apply(p, slot, req)
 			p.End()
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	res := &NativeResult{Cfg: cfg, Elapsed: elapsed, Admits: map[TenantWindow]int{}}
-	res.Requests = N * cfg.Requests
-	var counts metrics.OpCounts
-	for i := range tallies {
-		t := &tallies[i]
-		res.Applied += t.applied
-		res.Admitted += t.admitted
-		res.Denied += t.denied
-		res.Lost += t.lost
-		res.Retries += t.retries
-		for tw, n := range t.admits {
-			res.Admits[tw] += n
+			t.add(cfg.Kind, req, resp)
 		}
-		counts.Add(procs[i].Counts)
-	}
-	res.Steps = counts.Steps()
-	res.Totals = st.Totals()
-	if cfg.Obs {
-		res.Report = registry.NativeReport(
-			fmt.Sprintf("service-%s-%s", cfg.Kind, cfg.Variant),
-			cfg.Seed, w, procs, elapsed, counts)
-	}
-	var deltas uint64
-	for i := range tallies {
-		deltas += tallies[i].deltas
-	}
-	budget := cfg.Budget
-	if budget == 0 {
-		budget = 32
-	}
-	if err := checkConservation(cfg.Kind, budget, res.Totals, deltas, res.Admitted, res.Admits); err != nil {
+		p.Begin()
+		st.Flush(p, slot)
+		p.End()
+	})
+
+	res := &NativeResult{Cfg: cfg, Report: hr.Report, Elapsed: hr.Elapsed}
+	res.Requests = N * cfg.Requests
+	res.Steps = hr.Counts.Steps()
+	if err := res.finish(cfg.Kind, cfg.Budget, st, tallies); err != nil {
 		return nil, err
 	}
 	return res, nil
-}
-
-// checkConservation is the oracle both drivers share: counter totals
-// equal the sum of applied deltas; limiter totals equal the admitted
-// count and no (tenant, window) exceeds the budget.
-func checkConservation(kind Kind, budget int, totals []uint64, deltas uint64, admitted int, admits map[TenantWindow]int) error {
-	var total uint64
-	for _, t := range totals {
-		total += t
-	}
-	switch kind {
-	case Counter:
-		if total != deltas {
-			return fmt.Errorf("service: counter conservation violated: totals %d != applied deltas %d", total, deltas)
-		}
-	case Limiter:
-		for tw, n := range admits {
-			if n > budget {
-				return fmt.Errorf("service: over-admission: tenant %d window %d admitted %d > budget %d",
-					tw.Tenant, tw.Window, n, budget)
-			}
-		}
-		if total != uint64(admitted) {
-			return fmt.Errorf("service: limiter totals %d != admitted %d", total, admitted)
-		}
-	}
-	return nil
 }

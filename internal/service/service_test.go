@@ -2,6 +2,7 @@ package service
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -128,6 +129,30 @@ func TestNativeObsReport(t *testing.T) {
 	if rep.Granularity != "native" {
 		t.Fatalf("granularity %q, want native", rep.Granularity)
 	}
+	// The wait-free store runs on the registry's multiprocessor layout:
+	// min(GOMAXPROCS, Procs) shards, slots dealt round-robin.
+	shards := min(runtime.GOMAXPROCS(0), 8)
+	if rep.Processors != shards {
+		t.Fatalf("report has %d processors, want %d shards", rep.Processors, shards)
+	}
+	for _, pr := range rep.Procs {
+		if pr.CPU != pr.Slot%shards || pr.Prio != pr.Slot/shards {
+			t.Errorf("slot %d at (cpu %d, prio %d), want (%d, %d)", pr.Slot, pr.CPU, pr.Prio, pr.Slot%shards, pr.Slot/shards)
+		}
+	}
+	// The other variants run free.
+	res, err = RunNative(NativeConfig{
+		Kind: Counter, Variant: Atomic,
+		Procs: 8, Requests: 40, Seed: 3, Obs: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range res.Report.Procs {
+		if pr.CPU != 0 || pr.Prio != 0 {
+			t.Errorf("atomic slot %d at (cpu %d, prio %d), want free (0, 0)", pr.Slot, pr.CPU, pr.Prio)
+		}
+	}
 }
 
 // TestStoreConfigValidation: the constructor rejects nonsense instead of
@@ -138,6 +163,24 @@ func TestStoreConfigValidation(t *testing.T) {
 	}
 	if _, err := RunNative(NativeConfig{Kind: Counter, Variant: "bogus", Procs: 1, Requests: 1}); err == nil {
 		t.Fatal("bogus variant accepted")
+	}
+	// Traffic the generator cannot serve is an error from both drivers,
+	// not a panic or a wrapped window.
+	for _, c := range []struct {
+		name string
+		reqs int
+		tr   TrafficConfig
+	}{
+		{"negative MaxDelta", 1, TrafficConfig{MaxDelta: -1}},
+		{"negative WindowLen", 1, TrafficConfig{WindowLen: -1}},
+		{"windows past 1<<24", 1<<24 + 1, TrafficConfig{WindowLen: 1}},
+	} {
+		if _, err := RunSim(SimConfig{Kind: Counter, Variant: Atomic, Requests: c.reqs, Traffic: c.tr}); err == nil {
+			t.Errorf("sim: %s accepted", c.name)
+		}
+		if _, err := RunNative(NativeConfig{Kind: Counter, Variant: Atomic, Procs: 1, Requests: c.reqs, Traffic: c.tr}); err == nil {
+			t.Errorf("native: %s accepted", c.name)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/arrival"
 	"repro/internal/metrics"
@@ -61,39 +62,16 @@ func (c *SimConfig) normalize() error {
 		return fmt.Errorf("service: sim sizing out of range (P=%d requests=%d burst=%d)",
 			c.Processors, c.Requests, c.BurstRequests)
 	}
-	return nil
-}
-
-// TenantWindow keys the limiter oracle: one admission budget per tenant
-// per refill window.
-type TenantWindow struct {
-	Tenant int
-	Window uint64
+	return c.Traffic.check(max(c.Requests, c.BurstRequests))
 }
 
 // SimResult is the measured outcome of one simulator-backed run.
 type SimResult struct {
 	Cfg    SimConfig
 	Report *metrics.Report
-
-	// Requests is the total requests issued; Applied the subset that
-	// reached a decision (counter increment landed, limiter verdict
-	// returned); Lost the subset dropped at the wait-free retry cap.
-	Requests, Applied, Lost int
-	// Admitted and Denied split the limiter verdicts (zero for counters).
-	Admitted, Denied int
-	// Retries is the total synchronization retries across all requests.
-	Retries int
-	// Steps is the run's total backend memory operations; ElapsedVT its
-	// virtual-time makespan.
-	Steps     uint64
+	Outcome
+	// ElapsedVT is the run's virtual-time makespan.
 	ElapsedVT int64
-	// Totals is the store's quiescent aggregate (per-key sums or
-	// per-tenant admitted counts).
-	Totals []uint64
-	// Admits counts admissions per (tenant, window) — the limiter
-	// over-admission oracle checks it against Budget.
-	Admits map[TenantWindow]int
 	// BaseOpTime and BurstOpTime digest per-request response times by
 	// worker class, the starvation story's per-policy comparison axis.
 	BaseOpTime, BurstOpTime metrics.Summary
@@ -153,44 +131,20 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 		return nil, err
 	}
 
-	res := &SimResult{Cfg: cfg, Admits: map[TenantWindow]int{}}
-	// Per-slot outcome tallies and response samples, merged post-run (the
-	// simulator serializes bodies, but keeping rows slot-owned means the
-	// same body code runs under the native driver).
-	applied := make([]int, slots)
-	admitted := make([]int, slots)
-	denied := make([]int, slots)
-	lost := make([]int, slots)
-	retries := make([]int, slots)
-	deltaSum := make([]uint64, slots)
-	admits := make([]map[TenantWindow]int, slots)
+	// Per-slot outcome rows and response samples, merged post-run.
+	tallies := make([]slotTally, slots)
 	samples := make([][]int64, slots)
-
 	body := func(slot, n int) func(e *sched.Env) {
 		return func(e *sched.Env) {
-			admits[slot] = make(map[TenantWindow]int, n/4+1)
-			reqs := cfg.Traffic.Requests(cfg.Seed, slot, n)
-			for _, req := range reqs {
+			t := &tallies[slot]
+			*t = newSlotTally(n)
+			for _, req := range cfg.Traffic.Requests(cfg.Seed, slot, n) {
 				start := e.Now()
 				resp := st.Apply(e, slot, req)
 				d := e.Now() - start
 				e.RecordOp(d)
 				samples[slot] = append(samples[slot], d)
-				retries[slot] += resp.Retries
-				if !resp.Applied {
-					lost[slot]++
-					continue
-				}
-				applied[slot]++
-				switch {
-				case cfg.Kind == Counter:
-					deltaSum[slot] += req.Delta
-				case resp.Admitted:
-					admitted[slot]++
-					admits[slot][TenantWindow{req.Tenant, req.Window}]++
-				default:
-					denied[slot]++
-				}
+				t.add(cfg.Kind, req, resp)
 			}
 			st.Flush(e, slot)
 		}
@@ -219,42 +173,13 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 
 	rep := s.Report(fmt.Sprintf("service-%s-%s", cfg.Kind, cfg.Variant))
 	rep.Arrival = cfg.Arrival
-	res.Report = rep
-	res.ElapsedVT = rep.ElapsedVT
-	res.Steps = rep.Mem.Steps()
+	res := &SimResult{Cfg: cfg, Report: rep, ElapsedVT: rep.ElapsedVT}
 	res.Requests = totalReqs
-	res.Totals = st.Totals()
-	var baseS, burstS []int64
-	var deltas uint64
-	for slot := 0; slot < slots; slot++ {
-		res.Applied += applied[slot]
-		res.Admitted += admitted[slot]
-		res.Denied += denied[slot]
-		res.Lost += lost[slot]
-		res.Retries += retries[slot]
-		deltas += deltaSum[slot]
-		for tw, n := range admits[slot] {
-			res.Admits[tw] += n
-		}
-		if slot < P {
-			baseS = append(baseS, samples[slot]...)
-		} else {
-			burstS = append(burstS, samples[slot]...)
-		}
-	}
-	res.BaseOpTime = metrics.Summarize(baseS)
-	res.BurstOpTime = metrics.Summarize(burstS)
-	if err := res.verify(deltas); err != nil {
+	res.Steps = rep.Mem.Steps()
+	if err := res.finish(cfg.Kind, cfg.Budget, st, tallies); err != nil {
 		return nil, err
 	}
+	res.BaseOpTime = metrics.Summarize(slices.Concat(samples[:P]...))
+	res.BurstOpTime = metrics.Summarize(slices.Concat(samples[P:]...))
 	return res, nil
-}
-
-// verify applies the shared conservation oracles to a finished run.
-func (res *SimResult) verify(deltas uint64) error {
-	budget := res.Cfg.Budget
-	if budget == 0 {
-		budget = 32
-	}
-	return checkConservation(res.Cfg.Kind, budget, res.Totals, deltas, res.Admitted, res.Admits)
 }

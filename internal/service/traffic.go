@@ -1,6 +1,9 @@
 package service
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // The keyed traffic generator. Requests are a pure function of
 // (seed, slot): each slot's stream comes from its own rand.Rand seeded by
@@ -52,6 +55,19 @@ func (c TrafficConfig) Normalized() TrafficConfig {
 		c.MaxDelta = 4
 	}
 	return c
+}
+
+// check rejects a normalized config the generator cannot serve for
+// streams of up to n requests: a non-positive MaxDelta or WindowLen, or
+// so many windows that Req.Window reaches its 1<<24 bound.
+func (c TrafficConfig) check(n int) error {
+	if c.MaxDelta < 1 || c.WindowLen < 1 {
+		return fmt.Errorf("service: traffic MaxDelta %d and WindowLen %d must be positive", c.MaxDelta, c.WindowLen)
+	}
+	if (n-1)/c.WindowLen >= 1<<24 {
+		return fmt.Errorf("service: %d requests at WindowLen %d pass the 1<<24 window bound", n, c.WindowLen)
+	}
+	return nil
 }
 
 // tenantSkew is the fixed Zipf exponent of the multi-tenant mix.
