@@ -31,6 +31,10 @@ go test -race ./internal/sched/... ./internal/trace/... ./internal/tracex/... ./
 # goroutines. The registry's native harness (the one place goroutines are
 # spawned against a native world) runs its own tests under the detector too.
 go test -race -short ./internal/native/... ./internal/prim/...
+# A native memory step is one atomic access, one counter increment and one
+# flag load: the shard preemption check (Proc.point) must stay within the
+# compiler's inlining budget, or every Load/Store/CAS pays a call again.
+go build -gcflags=-m ./internal/native 2>&1 | grep -q 'can inline (\*Proc).point'
 go test -race -short -run Native ./internal/registry/
 
 # Service subsystem: hot-key counter and token-bucket limiter, all four
@@ -137,6 +141,10 @@ go run ./cmd/wfbench -exp native -ops 4000 -outdir artifacts > /dev/null
 test -s artifacts/BENCH_native.json
 grep -q '"op_latency_ns"' artifacts/BENCH_native.json
 grep -q '"go_version"' artifacts/BENCH_native.json
+# Only the wait-free entries run on sharded worlds: the baselines' free
+# worlds and the mutex reference carry no "shards" key.
+test "$(grep -c '"shards":' artifacts/BENCH_native.json)" = \
+    "$(grep -c '"kind": "waitfree"' artifacts/BENCH_native.json)"
 
 # Service smoke: the traffic subsystem's full matrix — both service
 # objects, all four variants, both backends — into BENCH_service.json.

@@ -145,7 +145,7 @@ func nativeBench(outdir string, totalOps, procs int, seed int64) error {
 			Procs: procs, OpsTotal: done,
 			ElapsedNs:  res.Elapsed.Nanoseconds(),
 			OpsPerSec:  metrics.Throughput(done, res.Elapsed.Nanoseconds()),
-			Goroutines: procs, Shards: res.World.Processors(),
+			Goroutines: procs, Shards: res.World.Shards(),
 			Mem:       res.Counts,
 			HelpGiven: given, HelpReceived: received,
 			Report: res.Report,

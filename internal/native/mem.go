@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/shmem"
 )
@@ -33,9 +34,24 @@ import (
 // for setup and teardown; running processes operate on it through Proc
 // (shmem.Ctx). All word access — including Peek/Poke — is performed with
 // sync/atomic, so snapshots taken after a goroutine join are race-clean.
+//
+// Layout: the backing array is cache-line aligned, and Alloc starts every
+// allocation on a fresh line while a fixed padding reserve (linePadReserve
+// words, on top of the requested capacity) lasts; after that, allocations
+// are packed densely. So the first allocations an object makes — its
+// control words, announce rows and heads — never share a line with one
+// another, and a word that one processor polls is not invalidated by
+// writes to a neighbouring allocation. Capacity and Allocated count data
+// words only; addresses index the backing array, which is why an address
+// may exceed Capacity.
 type Mem struct {
+	// words is the line-aligned backing array: capacity data words plus
+	// the padding reserve. It never moves or grows (Alloc bumps inside
+	// it), so Procs keep the slice itself.
 	words []uint64
-	next  int
+	// next is the first free backing index; used counts allocated data
+	// words against capacity; padLeft is what remains of the reserve.
+	next, used, capacity, padLeft int
 	// regions records allocations oldest-first (in address order) for
 	// Name, mirroring the simulated memory's debug naming.
 	regions []region
@@ -48,26 +64,48 @@ type region struct {
 	base, n int
 }
 
+// linePadReserve is the padding, in words, that Alloc may spend aligning
+// allocations to cache lines: up to 7 words each for the first ~64
+// allocations, enough for every fixed-size structure an object sets up.
+const linePadReserve = 64 * (lineWords - 1)
+
+// lineWords is the number of 64-bit words per cache line.
+const lineWords = cacheLine / 8
+
 // NewMem returns a native memory of the given capacity in words.
 func NewMem(words int) *Mem {
 	if words <= 0 {
 		panic(fmt.Sprintf("native: memory capacity %d must be positive", words))
 	}
-	return &Mem{words: make([]uint64, words)}
+	n := words + linePadReserve
+	buf := make([]uint64, n+lineWords-1)
+	off := 0
+	if mis := uintptr(unsafe.Pointer(&buf[0])) % cacheLine; mis != 0 {
+		off = int(cacheLine-mis) / 8
+	}
+	return &Mem{words: buf[off : off+n : off+n], capacity: words, padLeft: linePadReserve}
 }
 
-// Alloc reserves n consecutive words under a debug name. It is setup-time
+// Alloc reserves n consecutive words under a debug name, starting on a
+// cache line while the padding reserve lasts (see Mem). It is setup-time
 // API: callers allocate before spawning processes.
 func (m *Mem) Alloc(name string, n int) (shmem.Addr, error) {
 	if n <= 0 {
 		return 0, fmt.Errorf("native: allocation %q of %d words", name, n)
 	}
-	if m.next+n > len(m.words) {
+	if m.used+n > m.capacity {
 		return 0, fmt.Errorf("native: %w: %q needs %d words, %d of %d free",
-			shmem.ErrOutOfMemory, name, n, len(m.words)-m.next, len(m.words))
+			shmem.ErrOutOfMemory, name, n, m.capacity-m.used, m.capacity)
+	}
+	if pad := -m.next & (lineWords - 1); pad <= m.padLeft {
+		m.next += pad
+		m.padLeft -= pad
+	} else {
+		m.padLeft = 0 // reserve spent: pack densely from here on
 	}
 	base := m.next
 	m.next += n
+	m.used += n
 	m.regions = append(m.regions, region{name: name, base: base, n: n})
 	return shmem.Addr(base), nil
 }
@@ -102,18 +140,14 @@ func (m *Mem) Name(a shmem.Addr) string {
 	return fmt.Sprintf("word%d", i)
 }
 
-// Capacity returns the total number of words.
-func (m *Mem) Capacity() int { return len(m.words) }
+// Capacity returns the total number of data words (padding excluded).
+func (m *Mem) Capacity() int { return m.capacity }
 
-// Allocated returns the number of words handed out so far.
-func (m *Mem) Allocated() int { return m.next }
+// Allocated returns the number of data words handed out so far.
+func (m *Mem) Allocated() int { return m.used }
 
 func (m *Mem) load(a shmem.Addr) uint64     { return atomic.LoadUint64(&m.words[a]) }
 func (m *Mem) store(a shmem.Addr, v uint64) { atomic.StoreUint64(&m.words[a], v) }
-
-func (m *Mem) cas(a shmem.Addr, old, val uint64) bool {
-	return atomic.CompareAndSwapUint64(&m.words[a], old, val)
-}
 
 // cas2 emulates double-word compare-and-swap behind a spin-acquired guard
 // word. Concurrent CAS2s serialize on the guard; on success the data word

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -34,6 +35,60 @@ func TestMemAllocPeekPokeName(t *testing.T) {
 	}
 	if _, err := m.Alloc("huge", 5); err == nil {
 		t.Error("over-capacity Alloc should fail")
+	}
+}
+
+// TestMemAllocLineAligned pins the allocation layout: the backing array is
+// line-aligned, every allocation starts a cache line while the padding
+// reserve lasts and packs densely after it, Capacity/Allocated count data
+// words only, padding never makes Alloc fail, and Name still resolves.
+func TestMemAllocLineAligned(t *testing.T) {
+	const singles = 100
+	m := NewMem(singles)
+	if a := uintptr(unsafe.Pointer(&m.words[0])); a%cacheLine != 0 {
+		t.Fatalf("backing array at %#x, not line-aligned", a)
+	}
+	// The first allocation needs no pad; each later single-word one needs
+	// lineWords-1, so the reserve aligns exactly this many more.
+	aligned := 1 + linePadReserve/(lineWords-1)
+	var prev shmem.Addr
+	for i := 0; i < singles; i++ {
+		a := m.MustAlloc(fmt.Sprintf("s%d", i), 1)
+		switch {
+		case i < aligned && int(a) != i*lineWords:
+			t.Fatalf("alloc %d at %d, want line start %d", i, a, i*lineWords)
+		case i >= aligned && a != prev+1:
+			t.Fatalf("alloc %d at %d, want dense after the reserve at %d", i, a, prev+1)
+		}
+		if got, want := m.Name(a), fmt.Sprintf("s%d", i); got != want {
+			t.Fatalf("Name(%d) = %q, want %q", a, got, want)
+		}
+		prev = a
+	}
+	if m.Allocated() != singles || m.Capacity() != singles {
+		t.Fatalf("Allocated=%d Capacity=%d, want %d, %d", m.Allocated(), m.Capacity(), singles, singles)
+	}
+	if _, err := m.Alloc("over", 1); err == nil {
+		t.Fatal("Alloc past the data capacity should fail")
+	}
+
+	// Mixed sizes: bases stay on line starts, and the data capacity is
+	// usable to the last word whatever the padding spent.
+	m = NewMem(64)
+	total := 0
+	for _, n := range []int{3, 1, 9, 8, 5, 2} {
+		a := m.MustAlloc("m", n)
+		if a%lineWords != 0 {
+			t.Fatalf("%d-word alloc at %d, not a line start", n, a)
+		}
+		if got := m.Name(a + shmem.Addr(n-1)); n > 1 && got != fmt.Sprintf("m[%d]", n-1) {
+			t.Fatalf("Name(last word of %d-word alloc) = %q", n, got)
+		}
+		total += n
+	}
+	m.MustAlloc("rest", 64-total)
+	if m.Allocated() != 64 {
+		t.Fatalf("Allocated = %d after filling, want 64", m.Allocated())
 	}
 }
 

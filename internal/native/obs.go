@@ -71,15 +71,16 @@ type obsState struct {
 }
 
 // EnableObs switches observability on for this world. Call it before
-// NewProc — procs created earlier collect nothing. mem is consulted to
-// size the CAS-failure attribution table when the recorder is enabled.
+// NewProc — procs created earlier collect nothing. The CAS-failure
+// attribution table, when the recorder is enabled, spans the memory's
+// whole backing array (padding included), since addresses index it.
 func (w *World) EnableObs(cfg ObsConfig) {
 	if cfg.RingCap <= 0 {
 		cfg.RingCap = DefaultRingCap
 	}
 	o := &obsState{cfg: cfg, epoch: time.Now()}
 	if cfg.Recorder {
-		o.lastWriter = make([]atomic.Int32, w.mem.Capacity())
+		o.lastWriter = make([]atomic.Int32, len(w.mem.words))
 	}
 	w.obs = o
 }
@@ -228,14 +229,6 @@ func (p *Proc) rec(kind recKind, a, b int64) {
 		b:    b,
 		kind: kind,
 	})
-}
-
-// noteWrite records slot+1 as the last writer of word a (CAS-failure
-// attribution). Callers guard with p.obs != nil && recorder on.
-func (p *Proc) noteWrite(a int) {
-	if w := p.obs.lastWriter; w != nil {
-		w[a].Store(int32(p.slot) + 1)
-	}
 }
 
 // DroppedEvents returns how many flight-recorder events were overwritten

@@ -12,9 +12,10 @@ import (
 	"repro/internal/trace"
 )
 
-// maxSlots bounds the helping bookkeeping arrays. It is far above anything
-// the stress suites spawn; NewProc rejects slots beyond it.
-const maxSlots = 1024
+// MaxSlots bounds the helping bookkeeping arrays. It is far above anything
+// the stress suites spawn; NewProc rejects slots beyond it, so run drivers
+// check their process count against it before placing any process.
+const MaxSlots = 1024
 
 // World is one native execution: a memory, a set of processes, and — for
 // the paper's families — the shards that impose priority-uniprocessor
@@ -38,7 +39,7 @@ type World struct {
 	shards []*shard
 	// helpReceived[p] counts help invocations received by slot p; written
 	// with atomics because helpers on different shards run concurrently.
-	helpReceived [maxSlots]atomic.Uint64
+	helpReceived [MaxSlots]atomic.Uint64
 	// obs is the observability context (nil unless EnableObs was called;
 	// see obs.go). Procs created while it is nil collect nothing and pay
 	// nothing beyond a nil check.
@@ -76,9 +77,13 @@ func (w *World) Processors() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// Shards returns the number of priority-disciplined shards: 0 for a free
+// world.
+func (w *World) Shards() int { return len(w.shards) }
+
 // HelpReceived returns the number of help invocations slot p received.
 func (w *World) HelpReceived(p int) uint64 {
-	if p < 0 || p >= maxSlots {
+	if p < 0 || p >= MaxSlots {
 		return 0
 	}
 	return w.helpReceived[p].Load()
@@ -170,11 +175,17 @@ func (s *shard) pickNextLocked() *Proc {
 // for (its op counters are intentionally unsynchronized and are read after
 // the goroutine joins).
 type Proc struct {
-	w     *World
-	shard *shard
-	slot  int
-	cpu   int
-	prio  shmem.Priority
+	// words is the world memory's backing array and wanted its shard's
+	// preemption flag (nil in a free world): the two things every memory
+	// operation touches, held directly so a step is one atomic access,
+	// one counter increment and one flag load.
+	words  []uint64
+	wanted *atomic.Bool
+	w      *World
+	shard  *shard
+	slot   int
+	cpu    int
+	prio   shmem.Priority
 	// gate blocks the process while it is not scheduled; buffered so the
 	// scheduler-side send never blocks.
 	gate      chan struct{}
@@ -202,10 +213,10 @@ type Proc struct {
 // priority. Slots must be unique per World when the helping algorithms are
 // in play — they index announce arrays, exactly as on the simulator.
 func (w *World) NewProc(slot, cpu int, prio shmem.Priority) *Proc {
-	if slot < 0 || slot >= maxSlots {
-		panic(fmt.Sprintf("native: slot %d out of range [0,%d)", slot, maxSlots))
+	if slot < 0 || slot >= MaxSlots {
+		panic(fmt.Sprintf("native: slot %d out of range [0,%d)", slot, MaxSlots))
 	}
-	p := &Proc{w: w, slot: slot, cpu: cpu, prio: prio, gate: make(chan struct{}, 1)}
+	p := &Proc{words: w.mem.words, w: w, slot: slot, cpu: cpu, prio: prio, gate: make(chan struct{}, 1)}
 	if w.obs != nil {
 		p.obs = w.obs
 		if w.obs.cfg.Metrics {
@@ -224,6 +235,7 @@ func (w *World) NewProc(slot, cpu int, prio shmem.Priority) *Proc {
 			panic(fmt.Sprintf("native: cpu %d out of range [0,%d)", cpu, len(w.shards)))
 		}
 		p.shard = w.shards[cpu]
+		p.wanted = &p.shard.wanted
 	}
 	return p
 }
@@ -305,12 +317,26 @@ func (p *Proc) End() {
 
 // point is the preemption point at every memory operation: if a waiter
 // outranks this process, hand the shard over and block until resumed. The
-// fast path is one atomic load of the shard's wanted flag.
+// fast path is one atomic load of the shard's wanted flag, small enough to
+// inline into every memory operation (ci.sh checks that it stays so);
+// everything else is in preempt.
 func (p *Proc) point() {
-	s := p.shard
-	if s == nil || p.noPreempt > 0 || !s.wanted.Load() {
+	if p.wanted != nil && p.wanted.Load() {
+		p.preempt()
+	}
+}
+
+// preempt is point's slow path, taken only while the wanted flag is set:
+// unless preemption is masked, hand the shard to the outranking waiter and
+// block until resumed. It is kept out of line so point's inline cost is
+// one call, however this path grows.
+//
+//go:noinline
+func (p *Proc) preempt() {
+	if p.noPreempt > 0 {
 		return
 	}
+	s := p.shard
 	s.mu.Lock()
 	best := s.bestWaitingLocked()
 	if best < 0 || s.waiting[best].prio <= p.prio {
@@ -342,7 +368,7 @@ func (p *Proc) point() {
 
 // Load reads word a.
 func (p *Proc) Load(a shmem.Addr) uint64 {
-	v := p.w.mem.load(a)
+	v := atomic.LoadUint64(&p.words[a])
 	p.Counts.Loads++
 	p.point()
 	return v
@@ -350,7 +376,7 @@ func (p *Proc) Load(a shmem.Addr) uint64 {
 
 // Store writes word a.
 func (p *Proc) Store(a shmem.Addr, v uint64) {
-	p.w.mem.store(a, v)
+	atomic.StoreUint64(&p.words[a], v)
 	p.Counts.Stores++
 	if p.lw != nil {
 		p.lw[a].Store(int32(p.slot) + 1)
@@ -360,7 +386,7 @@ func (p *Proc) Store(a shmem.Addr, v uint64) {
 
 // CAS performs a hardware compare-and-swap on word a.
 func (p *Proc) CAS(a shmem.Addr, old, val uint64) bool {
-	ok := p.w.mem.cas(a, old, val)
+	ok := atomic.CompareAndSwapUint64(&p.words[a], old, val)
 	p.Counts.CAS++
 	if !ok {
 		p.Counts.CASFail++
@@ -475,7 +501,7 @@ func (p *Proc) NoteHelp(pid int) {
 		return
 	}
 	p.HelpGiven++
-	if pid >= 0 && pid < maxSlots {
+	if pid >= 0 && pid < MaxSlots {
 		p.w.helpReceived[pid].Add(1)
 	}
 	if p.ring != nil {

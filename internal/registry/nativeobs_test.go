@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/metrics"
+	"repro/internal/native"
 )
 
 // TestNativeObsEveryObject is the tentpole acceptance check: a native run
@@ -211,5 +212,17 @@ func TestNativeShardsCapped(t *testing.T) {
 	}
 	if got := res.World.Processors(); got != 1 {
 		t.Fatalf("one-process multilist run has %d processors, want 1", got)
+	}
+}
+
+// TestNativeProcsOverMaxSlots: a process count past the native backend's
+// slot limit is a plain error for every object, returned before any
+// process is placed or spawned (NewProc would panic on the extra slot).
+func TestNativeProcsOverMaxSlots(t *testing.T) {
+	for _, d := range All() {
+		res, err := d.RunNative(NativeRun{Procs: native.MaxSlots + 1, Ops: 1, Seed: 1, Cfg: d.StressConfig(1)})
+		if err == nil || res != nil {
+			t.Errorf("%s: RunNative with %d procs = (%v, %v), want an error", d.Name, native.MaxSlots+1, res, err)
+		}
 	}
 }

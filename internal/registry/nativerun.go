@@ -170,8 +170,8 @@ func (h *NativeHarness) Run(object string, seed int64, body func(p *native.Proc,
 // quiescence: Procs goroutines, each applying its generated op stream with
 // one Begin/End shard window per operation.
 func (d *Descriptor) RunNative(r NativeRun) (*NativeResult, error) {
-	if r.Procs <= 0 || r.Ops < 0 {
-		return nil, fmt.Errorf("registry: native run needs Procs >= 1 and Ops >= 0 (got %d, %d)", r.Procs, r.Ops)
+	if r.Procs <= 0 || r.Procs > native.MaxSlots || r.Ops < 0 {
+		return nil, fmt.Errorf("registry: native run needs 1 <= Procs <= %d and Ops >= 0 (got %d, %d)", native.MaxSlots, r.Procs, r.Ops)
 	}
 	cfg := r.Cfg
 	cfg.Procs = r.Procs

@@ -57,7 +57,7 @@ func RunNative(cfg NativeConfig) (*NativeResult, error) {
 		cfg.Requests = 200
 	}
 	cfg.Traffic = cfg.Traffic.Normalized()
-	if cfg.Procs < 1 || cfg.Requests < 1 {
+	if cfg.Procs < 1 || cfg.Procs > native.MaxSlots || cfg.Requests < 1 {
 		return nil, fmt.Errorf("service: native sizing out of range (procs=%d requests=%d)", cfg.Procs, cfg.Requests)
 	}
 	if err := cfg.Traffic.check(cfg.Requests); err != nil {

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"repro/internal/native"
 )
 
 // TestTrafficDeterministic: the generator is a pure function of
@@ -164,6 +166,13 @@ func TestStoreConfigValidation(t *testing.T) {
 	if _, err := RunNative(NativeConfig{Kind: Counter, Variant: "bogus", Procs: 1, Requests: 1}); err == nil {
 		t.Fatal("bogus variant accepted")
 	}
+	// Past the native backend's slot limit: an error before any process
+	// is placed or spawned, not NewProc's panic on the extra slot.
+	for _, v := range []Variant{WaitFree, Atomic} {
+		if _, err := RunNative(NativeConfig{Kind: Counter, Variant: v, Procs: native.MaxSlots + 1, Requests: 1}); err == nil {
+			t.Fatalf("%s: %d procs accepted", v, native.MaxSlots+1)
+		}
+	}
 	// Traffic the generator cannot serve is an error from both drivers,
 	// not a panic or a wrapped window.
 	for _, c := range []struct {
@@ -173,7 +182,7 @@ func TestStoreConfigValidation(t *testing.T) {
 	}{
 		{"negative MaxDelta", 1, TrafficConfig{MaxDelta: -1}},
 		{"negative WindowLen", 1, TrafficConfig{WindowLen: -1}},
-		{"windows past 1<<24", 1<<24 + 1, TrafficConfig{WindowLen: 1}},
+		{"windows past 1<<16", 1<<16 + 1, TrafficConfig{WindowLen: 1}},
 	} {
 		if _, err := RunSim(SimConfig{Kind: Counter, Variant: Atomic, Requests: c.reqs, Traffic: c.tr}); err == nil {
 			t.Errorf("sim: %s accepted", c.name)
