@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core/multimwcas"
-	"repro/internal/prim"
 	"repro/internal/shmem"
 )
 
@@ -106,10 +105,8 @@ func (c *MultiMWCASChecker) OnWrite(ev shmem.WriteEvent) {
 	}
 }
 
-// rvLogical strips the (possible) counter field of the tagged
-// representation; Rv values are small, so the other representations pass
-// through unchanged.
-func rvLogical(raw uint64) uint64 { return prim.Tagged{}.Logical(raw) }
+// rvLogical strips the (possible) tag byte of the tagged representation.
+func rvLogical(raw uint64) uint64 { return raw & ((uint64(1) << 56) - 1) }
 
 func (c *MultiMWCASChecker) commit(p int, step uint64) {
 	op := c.multiOpAt(p)

