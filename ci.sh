@@ -223,6 +223,11 @@ go test ./internal/sched/ -run TestRunAheadPolicyGate -count=1
 # Ctx.GuardedCAS call, not a closure).
 go test ./internal/registry/ -run TestNativeAllocGate -count=1
 
+# Native layout gate: every object's per-slot and per-processor rows start
+# a cache line and share it with nothing on native, and keep the dense
+# layout (stride == width, same addresses) on the simulator.
+go test ./internal/registry/ -run TestRowLayout -count=1
+
 # Perf gates: -exp core re-measures the serial and run-ahead simulator
 # core (asserting the two modes still agree exactly) and fails if the
 # exact dispatch counters (coroutine switches and scheduling decisions

@@ -44,7 +44,7 @@ const wordsPerNode = 3
 type Arena struct {
 	mem      shmem.Memory
 	nodes    shmem.Addr // base of node storage
-	heads    shmem.Addr // per-slot free-list head words
+	heads    shmem.Rows // per-slot free-list head words
 	capacity int
 	slots    int
 	sentinel Ref // free-list terminator
@@ -68,7 +68,7 @@ func New(m shmem.Memory, capacity, slots int) (*Arena, error) {
 	if err != nil {
 		return nil, fmt.Errorf("arena: %w", err)
 	}
-	heads, err := m.Alloc("freeheads", slots)
+	heads, err := shmem.NewRows(m, "freeheads", slots, 1)
 	if err != nil {
 		return nil, fmt.Errorf("arena: %w", err)
 	}
@@ -124,13 +124,13 @@ func (a *Arena) Freeze() {
 	}
 	a.frozen = true
 	for s := 0; s < a.slots; s++ {
-		a.mem.Poke(a.heads+shmem.Addr(s), uint64(a.sentinel))
+		a.mem.Poke(a.heads.Row(s), uint64(a.sentinel))
 	}
 	slot := 0
 	for r := a.staticNext; int(r) < a.capacity; r++ {
-		head := a.mem.Peek(a.heads + shmem.Addr(slot))
+		head := a.mem.Peek(a.heads.Row(slot))
 		a.nextImpl.InitWord(a.mem, a.NextAddr(r), head)
-		a.mem.Poke(a.heads+shmem.Addr(slot), uint64(r))
+		a.mem.Poke(a.heads.Row(slot), uint64(r))
 		slot = (slot + 1) % a.slots
 	}
 }
@@ -168,7 +168,7 @@ func (a *Arena) Contains(r Ref) bool { return int(r) < a.capacity }
 // exhausted.
 func (a *Arena) Alloc(e shmem.Ctx, slot int) (Ref, bool) {
 	a.checkSlot(slot)
-	headAddr := a.heads + shmem.Addr(slot)
+	headAddr := a.heads.Row(slot)
 	head := Ref(e.Load(headAddr))
 	if head == a.sentinel {
 		return NIL, false
@@ -187,7 +187,7 @@ func (a *Arena) Free(e shmem.Ctx, slot int, r Ref) {
 	if r == NIL || r == a.sentinel || !a.Contains(r) {
 		panic(fmt.Sprintf("arena: Free of invalid ref %d", r))
 	}
-	headAddr := a.heads + shmem.Addr(slot)
+	headAddr := a.heads.Row(slot)
 	head := e.Load(headAddr)
 	a.nextImpl.Write(e, a.NextAddr(r), head)
 	e.Store(headAddr, uint64(r))
@@ -198,7 +198,7 @@ func (a *Arena) Free(e shmem.Ctx, slot int, r Ref) {
 func (a *Arena) FreeCount(slot int) int {
 	a.checkSlot(slot)
 	n := 0
-	r := Ref(a.mem.Peek(a.heads + shmem.Addr(slot)))
+	r := Ref(a.mem.Peek(a.heads.Row(slot)))
 	for r != a.sentinel {
 		n++
 		if n > a.capacity {

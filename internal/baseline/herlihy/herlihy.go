@@ -41,7 +41,7 @@ type Object struct {
 	n, k  int
 
 	head     shmem.Addr
-	announce shmem.Addr // per process: op, arg, seq (3 words)
+	announce shmem.Rows // per process: op, arg, seq (3 words)
 	blocks   shmem.Addr // (2n+1) blocks of k + 2n words
 	blockLen int
 
@@ -49,7 +49,7 @@ type Object struct {
 	toggle   []int    // which private block to use next
 }
 
-const annStride = 3
+const annWidth = 3
 
 // New creates the object. The initial state is all-zero k words.
 func New(m shmem.Memory, n, k int, apply Apply) (*Object, error) {
@@ -65,7 +65,7 @@ func New(m shmem.Memory, n, k int, apply Apply) (*Object, error) {
 	if o.head, err = m.Alloc("UCHead", 1); err != nil {
 		return nil, fmt.Errorf("herlihy: %w", err)
 	}
-	if o.announce, err = m.Alloc("UCAnnounce", n*annStride); err != nil {
+	if o.announce, err = shmem.NewRows(m, "UCAnnounce", n, annWidth); err != nil {
 		return nil, fmt.Errorf("herlihy: %w", err)
 	}
 	if o.blocks, err = m.Alloc("UCBlocks", (2*n+1)*o.blockLen); err != nil {
@@ -82,9 +82,9 @@ func (o *Object) blockWord(blk, i int) shmem.Addr {
 func (o *Object) blockApplied(blk, q int) shmem.Addr { return o.blockWord(blk, o.k+q) }
 func (o *Object) blockResult(blk, q int) shmem.Addr  { return o.blockWord(blk, o.k+o.n+q) }
 
-func (o *Object) annOp(p int) shmem.Addr  { return o.announce + shmem.Addr(p*annStride) }
-func (o *Object) annArg(p int) shmem.Addr { return o.announce + shmem.Addr(p*annStride+1) }
-func (o *Object) annSeq(p int) shmem.Addr { return o.announce + shmem.Addr(p*annStride+2) }
+func (o *Object) annOp(p int) shmem.Addr  { return o.announce.Row(p) }
+func (o *Object) annArg(p int) shmem.Addr { return o.announce.Row(p) + 1 }
+func (o *Object) annSeq(p int) shmem.Addr { return o.announce.Row(p) + 2 }
 
 // StateAddrs returns the object-word addresses of block blk.
 func (o *Object) stateAddrs(blk int) []shmem.Addr {

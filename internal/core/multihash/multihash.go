@@ -83,14 +83,14 @@ type Table struct {
 
 	heads []arena.Ref // bucket head sentinels
 	last  arena.Ref   // shared tail sentinel
-	par   shmem.Addr  // Par[p]: node, key, op (N+1 rows)
+	par   shmem.Rows  // Par[p]: node, key, op (N+1 rows)
 }
 
 const (
-	parNode   = 0
-	parKey    = 1
-	parOp     = 2
-	parStride = 3
+	parNode  = 0
+	parKey   = 1
+	parOp    = 2
+	parWidth = 3
 )
 
 // New creates a table; the arena must not be frozen.
@@ -107,7 +107,7 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Table, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = helping.Cyclic
 	}
-	par, err := m.Alloc("HPar", (cfg.Procs+1)*parStride)
+	par, err := shmem.NewRows(m, "HPar", cfg.Procs+1, parWidth)
 	if err != nil {
 		return nil, fmt.Errorf("multihash: %w", err)
 	}
@@ -143,7 +143,7 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Table, error) {
 func (t *Table) bucket(key uint64) arena.Ref { return t.heads[int(key%uint64(t.k))] }
 
 func (t *Table) parAddr(p int, f shmem.Addr) shmem.Addr {
-	return t.par + shmem.Addr(p*parStride) + f
+	return t.par.Row(p) + f
 }
 
 // Engine exposes the helping engine for checkers and benches.

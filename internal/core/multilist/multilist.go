@@ -96,8 +96,8 @@ type List struct {
 	stride int
 
 	first, last arena.Ref
-	par         shmem.Addr // Par[p]: node, key, op (3 words; N+1 rows)
-	annPtr      shmem.Addr // Ann[R].ptr (P words)
+	par         shmem.Rows // Par[p]: node, key, op (3 words; N+1 rows)
+	annPtr      shmem.Rows // Ann[R].ptr (P rows)
 	// epoch is the structure epoch S: V.cnt of the last round that
 	// spliced or unspliced a node. Every round that changes a link bumps
 	// it, by a version-guarded CCAS, before its Rv reports; read
@@ -107,10 +107,10 @@ type List struct {
 
 // Par field offsets.
 const (
-	parNode   = 0
-	parKey    = 1
-	parOp     = 2
-	parStride = 3
+	parNode  = 0
+	parKey   = 1
+	parOp    = 2
+	parWidth = 3
 )
 
 // New creates a list. The arena must not be frozen; its next-field
@@ -128,11 +128,11 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*List, error) {
 	if cfg.Stride < 1 {
 		cfg.Stride = 1
 	}
-	par, err := m.Alloc("Par", (cfg.Procs+1)*parStride) // guard row at N
+	par, err := shmem.NewRows(m, "Par", cfg.Procs+1, parWidth) // guard row at N
 	if err != nil {
 		return nil, fmt.Errorf("multilist: %w", err)
 	}
-	annPtr, err := m.Alloc("AnnPtr", cfg.Processors)
+	annPtr, err := shmem.NewRows(m, "AnnPtr", cfg.Processors, 1)
 	if err != nil {
 		return nil, fmt.Errorf("multilist: %w", err)
 	}
@@ -176,10 +176,10 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*List, error) {
 	return l, nil
 }
 
-func (l *List) annPtrAddr(r int) shmem.Addr { return l.annPtr + shmem.Addr(r) }
+func (l *List) annPtrAddr(r int) shmem.Addr { return l.annPtr.Row(r) }
 
 func (l *List) parAddr(p int, field shmem.Addr) shmem.Addr {
-	return l.par + shmem.Addr(p*parStride) + field
+	return l.par.Row(p) + field
 }
 
 // Engine exposes the helping engine for checkers and benches.

@@ -63,11 +63,11 @@ type Object struct {
 	n   int
 	b   int
 
-	par shmem.Addr // Par[p]: numwds, B addrs, B olds, B news per process
+	par shmem.Rows // Par[p]: numwds, B addrs, B olds, B news per process
 }
 
 // Par row layout: numwds, then addr[0..B), old[0..B), new[0..B).
-func (o *Object) parNumwds(p int) shmem.Addr { return o.par + shmem.Addr(p*(1+3*o.b)) }
+func (o *Object) parNumwds(p int) shmem.Addr { return o.par.Row(p) }
 func (o *Object) parAddr(p, i int) shmem.Addr {
 	return o.parNumwds(p) + 1 + shmem.Addr(i)
 }
@@ -92,7 +92,7 @@ func New(m shmem.Memory, cfg Config) (*Object, error) {
 	o := &Object{mem: m, cc: cfg.CC, n: cfg.Procs, b: cfg.Width}
 	// One guard row at index N so a stale read of Ann[R] == N dereferences
 	// in-bounds memory (the paper types announce pids as 0..N).
-	par, err := m.Alloc("Par", (cfg.Procs+1)*(1+3*cfg.Width))
+	par, err := shmem.NewRows(m, "Par", cfg.Procs+1, 1+3*cfg.Width)
 	if err != nil {
 		return nil, fmt.Errorf("multimwcas: %w", err)
 	}

@@ -69,14 +69,14 @@ type Queue struct {
 	n   int
 
 	first, last arena.Ref
-	par         shmem.Addr // Par[p]: node, op (N+1 rows)
+	par         shmem.Rows // Par[p]: node, op (N+1 rows)
 	tail        shmem.Addr // the node whose next is last, at round boundaries
 }
 
 const (
-	parNode   = 0
-	parOp     = 1
-	parStride = 2
+	parNode  = 0
+	parOp    = 1
+	parWidth = 2
 )
 
 // New creates a queue; the arena must not be frozen.
@@ -90,7 +90,7 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Queue, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = helping.Cyclic
 	}
-	par, err := m.Alloc("QPar", (cfg.Procs+1)*parStride)
+	par, err := shmem.NewRows(m, "QPar", cfg.Procs+1, parWidth)
 	if err != nil {
 		return nil, fmt.Errorf("multiqueue: %w", err)
 	}
@@ -122,7 +122,7 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Queue, error) {
 }
 
 func (q *Queue) parAddr(p int, f shmem.Addr) shmem.Addr {
-	return q.par + shmem.Addr(p*parStride) + f
+	return q.par.Row(p) + f
 }
 
 // Engine exposes the helping engine for checkers and benches.

@@ -60,13 +60,13 @@ type Stack struct {
 	n   int
 
 	first, last arena.Ref
-	par         shmem.Addr // Par[p]: node, op (N+1 rows)
+	par         shmem.Rows // Par[p]: node, op (N+1 rows)
 }
 
 const (
-	parNode   = 0
-	parOp     = 1
-	parStride = 2
+	parNode  = 0
+	parOp    = 1
+	parWidth = 2
 )
 
 // New creates a stack; the arena must not be frozen.
@@ -80,7 +80,7 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Stack, error) {
 	if cfg.Mode == 0 {
 		cfg.Mode = helping.Cyclic
 	}
-	par, err := m.Alloc("SPar", (cfg.Procs+1)*parStride)
+	par, err := shmem.NewRows(m, "SPar", cfg.Procs+1, parWidth)
 	if err != nil {
 		return nil, fmt.Errorf("multistack: %w", err)
 	}
@@ -107,7 +107,7 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Stack, error) {
 }
 
 func (s *Stack) parAddr(p int, f shmem.Addr) shmem.Addr {
-	return s.par + shmem.Addr(p*parStride) + f
+	return s.par.Row(p) + f
 }
 
 // Engine exposes the helping engine for checkers and benches.

@@ -51,14 +51,14 @@ type Table struct {
 
 	heads []arena.Ref
 	last  arena.Ref
-	par   shmem.Addr // Par[p]: node, key, op
+	par   shmem.Rows // Par[p]: node, key, op
 }
 
 const (
-	parNode   = 0
-	parKey    = 1
-	parOp     = 2
-	parStride = 3
+	parNode  = 0
+	parKey   = 1
+	parOp    = 2
+	parWidth = 3
 )
 
 // New creates a table with k buckets for n process slots; the arena must
@@ -70,7 +70,7 @@ func New(m shmem.Memory, ar *arena.Arena, n, k int) (*Table, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("unihash: bucket count %d out of range", k)
 	}
-	par, err := m.Alloc("HPar", n*parStride)
+	par, err := shmem.NewRows(m, "HPar", n, parWidth)
 	if err != nil {
 		return nil, fmt.Errorf("unihash: %w", err)
 	}
@@ -99,7 +99,7 @@ func New(m shmem.Memory, ar *arena.Arena, n, k int) (*Table, error) {
 func (t *Table) bucket(key uint64) arena.Ref { return t.heads[int(key%uint64(t.k))] }
 
 func (t *Table) parAddr(p int, f shmem.Addr) shmem.Addr {
-	return t.par + shmem.Addr(p*parStride) + f
+	return t.par.Row(p) + f
 }
 
 // Engine exposes the helping engine, for checkers.

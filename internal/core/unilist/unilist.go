@@ -75,17 +75,17 @@ type List struct {
 	n   int
 
 	first, last arena.Ref
-	par         shmem.Addr // Par[p]: node, key, op (3 words per process)
+	par         shmem.Rows // Par[p]: node, key, op (3 words per process)
 	ann         shmem.Addr // Ann.ptr, Ann.pid (2 words)
-	rv          shmem.Addr // Rv[0..N]
+	rv          shmem.Rows // Rv[0..N]
 }
 
 // Par field offsets.
 const (
-	parNode   = 0
-	parKey    = 1
-	parOp     = 2
-	parStride = 3
+	parNode  = 0
+	parKey   = 1
+	parOp    = 2
+	parWidth = 3
 )
 
 // New creates a list for n processes, allocating its sentinels from ar.
@@ -94,7 +94,7 @@ func New(m shmem.Memory, ar *arena.Arena, n int) (*List, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("unilist: process count %d out of range", n)
 	}
-	par, err := m.Alloc("Par", n*parStride)
+	par, err := shmem.NewRows(m, "Par", n, parWidth)
 	if err != nil {
 		return nil, fmt.Errorf("unilist: %w", err)
 	}
@@ -102,7 +102,7 @@ func New(m shmem.Memory, ar *arena.Arena, n int) (*List, error) {
 	if err != nil {
 		return nil, fmt.Errorf("unilist: %w", err)
 	}
-	rv, err := m.Alloc("Rv", n+1)
+	rv, err := shmem.NewRows(m, "Rv", n+1, 1)
 	if err != nil {
 		return nil, fmt.Errorf("unilist: %w", err)
 	}
@@ -126,11 +126,11 @@ func (l *List) annPtr() shmem.Addr { return l.ann }
 func (l *List) annPid() shmem.Addr { return l.ann + 1 }
 
 func (l *List) parAddr(p int, field shmem.Addr) shmem.Addr {
-	return l.par + shmem.Addr(p*parStride) + field
+	return l.par.Row(p) + field
 }
 
 // RvAddr returns the address of Rv[p], for checkers.
-func (l *List) RvAddr(p int) shmem.Addr { return l.rv + shmem.Addr(p) }
+func (l *List) RvAddr(p int) shmem.Addr { return l.rv.Row(p) }
 
 // AnnPidAddr returns the address of Ann.pid, for checkers.
 func (l *List) AnnPidAddr() shmem.Addr { return l.annPid() }

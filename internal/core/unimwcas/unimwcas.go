@@ -99,8 +99,8 @@ type Object struct {
 	mem    shmem.Memory
 	n      int
 	b      int
-	status shmem.Addr // Status: array[0..N-1] of integer
-	save   shmem.Addr // Save: array[0..N-1, 0..B-1] of valtype
+	status shmem.Rows // Status: array[0..N-1] of integer
+	save   shmem.Rows // Save: array[0..N-1, 0..B-1] of valtype
 
 	// Private per-process state of MWCAS (init and assn in Figure 3),
 	// laid out like Save: process p owns [p*B, (p+1)*B).
@@ -116,11 +116,11 @@ func New(m shmem.Memory, n, b int) (*Object, error) {
 	if b < 1 || b > MaxWidth {
 		return nil, fmt.Errorf("unimwcas: width %d out of range [1,%d]", b, MaxWidth)
 	}
-	status, err := m.Alloc("Status", n)
+	status, err := shmem.NewRows(m, "Status", n, 1)
 	if err != nil {
 		return nil, fmt.Errorf("unimwcas: %w", err)
 	}
-	save, err := m.Alloc("Save", n*b)
+	save, err := shmem.NewRows(m, "Save", n, b)
 	if err != nil {
 		return nil, fmt.Errorf("unimwcas: %w", err)
 	}
@@ -138,10 +138,10 @@ func (o *Object) InitWord(a shmem.Addr, val uint32) {
 }
 
 // StatusAddr returns the address of Status[p], for checkers.
-func (o *Object) StatusAddr(p int) shmem.Addr { return o.status + shmem.Addr(p) }
+func (o *Object) StatusAddr(p int) shmem.Addr { return o.status.Row(p) }
 
 // SaveAddr returns the address of Save[p][c], for checkers.
-func (o *Object) SaveAddr(p, c int) shmem.Addr { return o.save + shmem.Addr(p*o.b+c) }
+func (o *Object) SaveAddr(p, c int) shmem.Addr { return o.save.Row(p) + shmem.Addr(c) }
 
 // Width returns B, the per-operation word limit.
 func (o *Object) Width() int { return o.b }

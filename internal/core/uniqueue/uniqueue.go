@@ -51,14 +51,14 @@ type Queue struct {
 	n   int
 
 	first, last arena.Ref
-	par         shmem.Addr // Par[p]: node, op (2 words per process)
+	par         shmem.Rows // Par[p]: node, op (2 words per process)
 	hint        shmem.Addr // tail-scan checkpoint (the Ann.ptr pattern)
 }
 
 const (
-	parNode   = 0
-	parOp     = 1
-	parStride = 2
+	parNode  = 0
+	parOp    = 1
+	parWidth = 2
 )
 
 // New creates a queue for n process slots; the arena must not be frozen.
@@ -66,7 +66,7 @@ func New(m shmem.Memory, ar *arena.Arena, n int) (*Queue, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("uniqueue: process count %d out of range", n)
 	}
-	par, err := m.Alloc("QPar", n*parStride)
+	par, err := shmem.NewRows(m, "QPar", n, parWidth)
 	if err != nil {
 		return nil, fmt.Errorf("uniqueue: %w", err)
 	}
@@ -103,7 +103,7 @@ func (q *Queue) PeekPar(p int) (node, op uint64) {
 }
 
 func (q *Queue) parAddr(p int, f shmem.Addr) shmem.Addr {
-	return q.par + shmem.Addr(p*parStride) + f
+	return q.par.Row(p) + f
 }
 
 // Enqueue appends val to the queue.

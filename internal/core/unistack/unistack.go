@@ -36,13 +36,13 @@ type Stack struct {
 	n   int
 
 	first, last arena.Ref // head sentinel and bottom sentinel
-	par         shmem.Addr
+	par         shmem.Rows
 }
 
 const (
-	parNode   = 0
-	parOp     = 1
-	parStride = 2
+	parNode  = 0
+	parOp    = 1
+	parWidth = 2
 )
 
 // New creates a stack for n process slots; the arena must not be frozen.
@@ -50,7 +50,7 @@ func New(m shmem.Memory, ar *arena.Arena, n int) (*Stack, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("unistack: process count %d out of range", n)
 	}
-	par, err := m.Alloc("SPar", n*parStride)
+	par, err := shmem.NewRows(m, "SPar", n, parWidth)
 	if err != nil {
 		return nil, fmt.Errorf("unistack: %w", err)
 	}
@@ -76,7 +76,7 @@ func (s *Stack) PeekPar(p int) (node, op uint64) {
 }
 
 func (s *Stack) parAddr(p int, f shmem.Addr) shmem.Addr {
-	return s.par + shmem.Addr(p*parStride) + f
+	return s.par.Row(p) + f
 }
 
 // Push adds val to the top of the stack.

@@ -141,9 +141,9 @@ type Engine struct {
 	mem shmem.Memory
 
 	v       shmem.Addr // version word V
-	annPid  shmem.Addr // Ann[R].pid (P words)
-	annPrio shmem.Addr // Ann[R].prio (P words; priority helping only)
-	rv      shmem.Addr // Rv[0..N]; Rv[N] is permanently "done"
+	annPid  shmem.Rows // Ann[R].pid (P rows)
+	annPrio shmem.Rows // Ann[R].prio (P rows; priority helping only)
+	rv      shmem.Rows // Rv[0..N]; Rv[N] is permanently "done"
 
 	doneRv uint64 // the value stored in Rv[N]
 }
@@ -167,15 +167,15 @@ func New(m shmem.Memory, cfg Config, doneRv uint64) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("helping: %w", err)
 	}
-	annPid, err := m.Alloc("AnnPid", cfg.Processors)
+	annPid, err := shmem.NewRows(m, "AnnPid", cfg.Processors, 1)
 	if err != nil {
 		return nil, fmt.Errorf("helping: %w", err)
 	}
-	annPrio, err := m.Alloc("AnnPrio", cfg.Processors)
+	annPrio, err := shmem.NewRows(m, "AnnPrio", cfg.Processors, 1)
 	if err != nil {
 		return nil, fmt.Errorf("helping: %w", err)
 	}
-	rv, err := m.Alloc("Rv", cfg.Procs+1)
+	rv, err := shmem.NewRows(m, "Rv", cfg.Procs+1, 1)
 	if err != nil {
 		return nil, fmt.Errorf("helping: %w", err)
 	}
@@ -193,7 +193,7 @@ func New(m shmem.Memory, cfg Config, doneRv uint64) (*Engine, error) {
 func (g *Engine) VAddr() shmem.Addr { return g.v }
 
 // RvAddr returns the address of Rv[pid].
-func (g *Engine) RvAddr(pid int) shmem.Addr { return g.rv + shmem.Addr(pid) }
+func (g *Engine) RvAddr(pid int) shmem.Addr { return g.rv.Row(pid) }
 
 // AnnPid returns the announced process on processor r (N if none), read
 // with simulated time charged.
@@ -215,8 +215,8 @@ func (g *Engine) Processors() int { return g.cfg.Processors }
 // Mode returns the configured helping mode.
 func (g *Engine) Mode() Mode { return g.cfg.Mode }
 
-func (g *Engine) annPidAddr(r int) shmem.Addr  { return g.annPid + shmem.Addr(r) }
-func (g *Engine) annPrioAddr(r int) shmem.Addr { return g.annPrio + shmem.Addr(r) }
+func (g *Engine) annPidAddr(r int) shmem.Addr  { return g.annPid.Row(r) }
+func (g *Engine) annPrioAddr(r int) shmem.Addr { return g.annPrio.Row(r) }
 
 // DoOp drives the calling process's announced-parameters operation to
 // completion: it performs one round of helping to drain any

@@ -45,7 +45,7 @@ type Config struct {
 type Engine struct {
 	cfg    Config
 	annPid shmem.Addr
-	rv     shmem.Addr
+	rv     shmem.Rows
 }
 
 // New allocates the engine's shared variables.
@@ -60,7 +60,7 @@ func New(m shmem.Memory, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inchelp: %w", err)
 	}
-	rv, err := m.Alloc("Rv", cfg.Procs+1)
+	rv, err := shmem.NewRows(m, "Rv", cfg.Procs+1, 1)
 	if err != nil {
 		return nil, fmt.Errorf("inchelp: %w", err)
 	}
@@ -73,7 +73,7 @@ func New(m shmem.Memory, cfg Config) (*Engine, error) {
 func (g *Engine) AnnPidAddr() shmem.Addr { return g.annPid }
 
 // RvAddr returns the address of Rv[p].
-func (g *Engine) RvAddr(p int) shmem.Addr { return g.rv + shmem.Addr(p) }
+func (g *Engine) RvAddr(p int) shmem.Addr { return g.rv.Row(p) }
 
 // Rv reads Rv[p] with simulated time charged.
 func (g *Engine) Rv(e shmem.Ctx, p int) uint64 { return e.Load(g.RvAddr(p)) }

@@ -39,18 +39,21 @@ import (
 // allocation on a fresh line while a fixed padding reserve (linePadReserve
 // words, on top of the requested capacity) lasts; after that, allocations
 // are packed densely. So the first allocations an object makes — its
-// control words, announce rows and heads — never share a line with one
-// another, and a word that one processor polls is not invalidated by
-// writes to a neighbouring allocation. Capacity and Allocated count data
-// words only; addresses index the backing array, which is why an address
-// may exceed Capacity.
+// control words and heads — never share a line with one another, and a
+// word that one processor polls is not invalidated by writes to a
+// neighbouring allocation. AllocRows goes further for per-process rows:
+// its base always starts a line, and its stride rounds the row width up
+// to whole lines, so each process's Par, Rv or Ann row owns its lines.
+// Allocated counts every word handed out, row padding included (and line
+// alignment once the reserve is spent), against Capacity; addresses index
+// the backing array, which is why an address may exceed Capacity.
 type Mem struct {
 	// words is the line-aligned backing array: capacity data words plus
 	// the padding reserve. It never moves or grows (Alloc bumps inside
 	// it), so Procs keep the slice itself.
 	words []uint64
-	// next is the first free backing index; used counts allocated data
-	// words against capacity; padLeft is what remains of the reserve.
+	// next is the first free backing index; used counts allocated words
+	// against capacity; padLeft is what remains of the reserve.
 	next, used, capacity, padLeft int
 	// regions records allocations oldest-first (in address order) for
 	// Name, mirroring the simulated memory's debug naming.
@@ -59,9 +62,12 @@ type Mem struct {
 	guard atomic.Uint32
 }
 
+// region is one allocation: n words from base, in rows of stride words
+// whose first width words are data when it came from AllocRows (stride 0
+// for Alloc).
 type region struct {
-	name    string
-	base, n int
+	name                   string
+	base, n, stride, width int
 }
 
 // linePadReserve is the padding, in words, that Alloc may spend aligning
@@ -110,6 +116,36 @@ func (m *Mem) Alloc(name string, n int) (shmem.Addr, error) {
 	return shmem.Addr(base), nil
 }
 
+// AllocRows reserves rows rows of width words, each starting a cache line:
+// the stride is width rounded up to whole lines, and the base is aligned
+// even after the padding reserve is spent (that alignment then counts in
+// Allocated, as the row padding always does). It is setup-time API, like
+// Alloc.
+func (m *Mem) AllocRows(name string, rows, width int) (shmem.Addr, int, error) {
+	if rows <= 0 || width <= 0 {
+		return 0, 0, fmt.Errorf("native: row allocation %q of %d rows of %d words", name, rows, width)
+	}
+	stride := (width + lineWords - 1) &^ (lineWords - 1)
+	n := rows * stride
+	pad := -m.next & (lineWords - 1)
+	charged := n
+	if pad > m.padLeft {
+		charged += pad
+	}
+	if m.used+charged > m.capacity {
+		return 0, 0, fmt.Errorf("native: %w: %q needs %d words (%d rows of stride %d), %d of %d free",
+			shmem.ErrOutOfMemory, name, charged, rows, stride, m.capacity-m.used, m.capacity)
+	}
+	if pad <= m.padLeft {
+		m.padLeft -= pad
+	}
+	base := m.next + pad
+	m.next = base + n
+	m.used += charged
+	m.regions = append(m.regions, region{name: name, base: base, n: n, stride: stride, width: width})
+	return shmem.Addr(base), stride, nil
+}
+
 // MustAlloc is Alloc for setup code that sizes its memory up front.
 func (m *Mem) MustAlloc(name string, n int) shmem.Addr {
 	a, err := m.Alloc(name, n)
@@ -126,24 +162,40 @@ func (m *Mem) Peek(a shmem.Addr) uint64 { return atomic.LoadUint64(&m.words[a]) 
 // Poke writes a word without process context (setup code).
 func (m *Mem) Poke(a shmem.Addr, v uint64) { atomic.StoreUint64(&m.words[a], v) }
 
-// Name returns a human-readable description of an address.
+// Name returns a human-readable description of an address. A word of an
+// AllocRows region is named by row and offset, not by its padded index:
+// Rv[1] for one-word rows, Par[1][2] for wider ones, and "Par[1] pad" for
+// the padding after a row's data.
 func (m *Mem) Name(a shmem.Addr) string {
 	i := int(a)
 	for _, r := range m.regions {
-		if i >= r.base && i < r.base+r.n {
+		if i < r.base || i >= r.base+r.n {
+			continue
+		}
+		if r.stride == 0 {
 			if r.n == 1 {
 				return r.name
 			}
 			return fmt.Sprintf("%s[%d]", r.name, i-r.base)
 		}
+		switch row, off := (i-r.base)/r.stride, (i-r.base)%r.stride; {
+		case off >= r.width:
+			return fmt.Sprintf("%s[%d] pad", r.name, row)
+		case r.width == 1:
+			return fmt.Sprintf("%s[%d]", r.name, row)
+		default:
+			return fmt.Sprintf("%s[%d][%d]", r.name, row, off)
+		}
 	}
 	return fmt.Sprintf("word%d", i)
 }
 
-// Capacity returns the total number of data words (padding excluded).
+// Capacity returns the number of words the memory was sized for (the
+// alignment reserve excluded).
 func (m *Mem) Capacity() int { return m.capacity }
 
-// Allocated returns the number of data words handed out so far.
+// Allocated returns the number of words handed out so far, row padding
+// included.
 func (m *Mem) Allocated() int { return m.used }
 
 func (m *Mem) load(a shmem.Addr) uint64     { return atomic.LoadUint64(&m.words[a]) }

@@ -1,6 +1,7 @@
 package native
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -89,6 +90,84 @@ func TestMemAllocLineAligned(t *testing.T) {
 	m.MustAlloc("rest", 64-total)
 	if m.Allocated() != 64 {
 		t.Fatalf("Allocated = %d after filling, want 64", m.Allocated())
+	}
+}
+
+// TestAllocRows pins the row rule: every row starts a cache line and
+// owns whole lines, the base is aligned even once the padding reserve is
+// spent (that alignment then counts in Allocated, as row padding always
+// does), and capacity is checked against the padded size.
+func TestAllocRows(t *testing.T) {
+	m := NewMem(1 << 10)
+	m.MustAlloc("head", 1)
+	for _, c := range []struct{ rows, width, stride int }{
+		{3, 1, lineWords}, {2, 3, lineWords}, {3, lineWords, lineWords}, {2, 13, 2 * lineWords},
+	} {
+		before := m.Allocated()
+		base, stride, err := m.AllocRows("r", c.rows, c.width)
+		if err != nil {
+			t.Fatalf("AllocRows(%d, %d): %v", c.rows, c.width, err)
+		}
+		if base%lineWords != 0 || stride != c.stride {
+			t.Errorf("AllocRows(%d, %d) = base %d stride %d, want a line start and stride %d", c.rows, c.width, base, stride, c.stride)
+		}
+		if got := m.Allocated() - before; got != c.rows*c.stride {
+			t.Errorf("AllocRows(%d, %d) charged %d words, want %d", c.rows, c.width, got, c.rows*c.stride)
+		}
+	}
+
+	// Spend the reserve, then misalign next: the rows still start a line
+	// and the skipped words are charged.
+	m = NewMem(1 << 12)
+	for m.padLeft > 0 {
+		m.MustAlloc("s", 1)
+	}
+	m.MustAlloc("s", 1)
+	before, next := m.Allocated(), m.next
+	base, _, err := m.AllocRows("late", 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := int(base) - next
+	if base%lineWords != 0 || pad <= 0 || pad >= lineWords {
+		t.Fatalf("late rows at %d after next %d, want the following line start", base, next)
+	}
+	if got := m.Allocated() - before; got != pad+2*lineWords {
+		t.Errorf("late rows charged %d words, want %d (alignment plus two lines)", got, pad+2*lineWords)
+	}
+
+	m = NewMem(2 * lineWords)
+	if _, _, err := m.AllocRows("big", 3, 1); !errors.Is(err, shmem.ErrOutOfMemory) {
+		t.Errorf("3 padded rows in %d words: err = %v, want ErrOutOfMemory", 2*lineWords, err)
+	}
+	for _, c := range [][2]int{{0, 1}, {1, 0}, {-1, 1}} {
+		if _, _, err := m.AllocRows("bad", c[0], c[1]); err == nil {
+			t.Errorf("AllocRows(%d, %d) succeeded", c[0], c[1])
+		}
+	}
+}
+
+// TestNameRows: a word of a padded row is named by row and offset, so
+// native word dumps read like the simulator's rows, not by padded index.
+func TestNameRows(t *testing.T) {
+	m := NewMem(256)
+	rv, _, _ := m.AllocRows("Rv", 3, 1)
+	par, stride, _ := m.AllocRows("Par", 3, 3)
+	for _, c := range []struct {
+		a    shmem.Addr
+		want string
+	}{
+		{rv, "Rv[0]"},
+		{rv + shmem.Addr(lineWords), "Rv[1]"},
+		{rv + shmem.Addr(2*lineWords), "Rv[2]"},
+		{rv + 1, "Rv[0] pad"},
+		{par + shmem.Addr(stride+2), "Par[1][2]"},
+		{par + shmem.Addr(2*stride), "Par[2][0]"},
+		{par + shmem.Addr(stride+3), "Par[1] pad"},
+	} {
+		if got := m.Name(c.a); got != c.want {
+			t.Errorf("Name(%d) = %q, want %q", c.a, got, c.want)
+		}
 	}
 }
 

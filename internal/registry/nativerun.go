@@ -170,20 +170,7 @@ func (h *NativeHarness) Run(object string, seed int64, body func(p *native.Proc,
 // quiescence: Procs goroutines, each applying its generated op stream with
 // one Begin/End shard window per operation.
 func (d *Descriptor) RunNative(r NativeRun) (*NativeResult, error) {
-	if r.Procs <= 0 || r.Procs > native.MaxSlots || r.Ops < 0 {
-		return nil, fmt.Errorf("registry: native run needs 1 <= Procs <= %d and Ops >= 0 (got %d, %d)", native.MaxSlots, r.Procs, r.Ops)
-	}
-	cfg := r.Cfg
-	cfg.Procs = r.Procs
-	if cfg.Capacity == 0 {
-		// Worst case every op of every process allocates a node and frees
-		// go to the freeing slot's pool, so size per-slot pools to the
-		// full op budget plus the seeds.
-		cfg.Capacity = r.Procs*(r.Ops+4) + 2*len(cfg.SeedKeys) + 8
-	}
-	mem := native.NewMem(1<<15 + cfg.Capacity*8 + r.Procs*64)
-	h := NewNativeHarness(d.Family, mem, r.Procs, native.ObsConfig{Metrics: r.Obs, Recorder: r.Recorder})
-	inst, err := BuildOn(NativeBackend(h.World), d.Name, cfg)
+	h, inst, cfg, err := d.buildNative(r)
 	if err != nil {
 		return nil, err
 	}
@@ -203,6 +190,30 @@ func (d *Descriptor) RunNative(r NativeRun) (*NativeResult, error) {
 		res.Results[slot] = out
 	})
 	return res, nil
+}
+
+// buildNative is RunNative up to the first goroutine: it checks r, sizes
+// a fresh native memory, lays out the harness and builds the instance.
+func (d *Descriptor) buildNative(r NativeRun) (*NativeHarness, Instance, Config, error) {
+	cfg := r.Cfg
+	if r.Procs <= 0 || r.Procs > native.MaxSlots || r.Ops < 0 {
+		return nil, nil, cfg, fmt.Errorf("registry: native run needs 1 <= Procs <= %d and Ops >= 0 (got %d, %d)", native.MaxSlots, r.Procs, r.Ops)
+	}
+	cfg.Procs = r.Procs
+	if cfg.Capacity == 0 {
+		// Worst case every op of every process allocates a node and frees
+		// go to the freeing slot's pool, so size per-slot pools to the
+		// full op budget plus the seeds.
+		cfg.Capacity = r.Procs*(r.Ops+4) + 2*len(cfg.SeedKeys) + 8
+	}
+	// Nodes take 3 words of their 8. A slot's rows (Par, Rv, its
+	// free-list head) each fill whole cache lines on native: 24 words
+	// at the default MWCAS width, so 64 per slot leaves room for wider
+	// Par rows and the per-processor announce rows.
+	mem := native.NewMem(1<<15 + cfg.Capacity*8 + r.Procs*64)
+	h := NewNativeHarness(d.Family, mem, r.Procs, native.ObsConfig{Metrics: r.Obs, Recorder: r.Recorder})
+	inst, err := BuildOn(NativeBackend(h.World), d.Name, cfg)
+	return h, inst, cfg, err
 }
 
 // nativeReport aggregates the per-goroutine observability blocks into

@@ -41,11 +41,11 @@ func newCounter(b registry.Backend, cfg StoreConfig) (Store, error) {
 		return s, nil
 	case Sharded:
 		mem := b.Memory()
-		base, err := mem.Alloc("svc.counter.stripes", cfg.Slots*cfg.Keys)
+		stripes, err := shmem.NewRows(mem, "svc.counter.stripes", cfg.Slots, cfg.Keys)
 		if err != nil {
 			return nil, err
 		}
-		s := &shardedCounter{cfg: cfg, mem: mem, base: base,
+		s := &shardedCounter{cfg: cfg, mem: mem, stripes: stripes,
 			local:   make([][]uint64, cfg.Slots),
 			pending: make([]int, cfg.Slots)}
 		for i := range s.local {
@@ -202,7 +202,7 @@ func (s *lockCounter) Totals() []uint64 {
 type shardedCounter struct {
 	cfg     StoreConfig
 	mem     shmem.Memory
-	base    shmem.Addr
+	stripes shmem.Rows // one row of Keys words per slot
 	local   [][]uint64
 	pending []int
 }
@@ -211,7 +211,7 @@ func (s *shardedCounter) Kind() Kind       { return Counter }
 func (s *shardedCounter) Variant() Variant { return Sharded }
 
 func (s *shardedCounter) stripe(slot, key int) shmem.Addr {
-	return s.base + shmem.Addr(slot*s.cfg.Keys+key)
+	return s.stripes.Row(slot) + shmem.Addr(key)
 }
 
 func (s *shardedCounter) Apply(e Ctx, slot int, r Req) Resp {

@@ -99,11 +99,11 @@ func newLimiter(b registry.Backend, cfg StoreConfig) (Store, error) {
 		return s, nil
 	case Sharded:
 		mem := b.Memory()
-		base, err := mem.Alloc("svc.limiter.stripes", cfg.Slots*cfg.Tenants)
+		stripes, err := shmem.NewRows(mem, "svc.limiter.stripes", cfg.Slots, cfg.Tenants)
 		if err != nil {
 			return nil, err
 		}
-		s := &shardedLimiter{cfg: cfg, mem: mem, base: base,
+		s := &shardedLimiter{cfg: cfg, mem: mem, stripes: stripes,
 			tally:   newTally(cfg.Slots, cfg.Tenants),
 			flushed: make([][]uint64, cfg.Slots),
 			win:     make([][]uint64, cfg.Slots),
@@ -287,7 +287,7 @@ func (s *lockLimiter) Apply(e Ctx, slot int, r Req) Resp {
 type shardedLimiter struct {
 	cfg     StoreConfig
 	mem     shmem.Memory
-	base    shmem.Addr
+	stripes shmem.Rows // one row of Tenants words per slot
 	tally              // admitted, cumulative per (slot, tenant)
 	flushed [][]uint64 // portion of tally already published to stripes
 	win     [][]uint64 // current local window per (slot, tenant)
@@ -307,7 +307,7 @@ func (s *shardedLimiter) slotBudget(slot int) uint64 {
 }
 
 func (s *shardedLimiter) stripe(slot, tenant int) shmem.Addr {
-	return s.base + shmem.Addr(slot*s.cfg.Tenants+tenant)
+	return s.stripes.Row(slot) + shmem.Addr(tenant)
 }
 
 func (s *shardedLimiter) Apply(e Ctx, slot int, r Req) Resp {

@@ -57,28 +57,12 @@ func RunNative(cfg NativeConfig) (*NativeResult, error) {
 		cfg.Requests = 200
 	}
 	cfg.Traffic = cfg.Traffic.Normalized()
-	if cfg.Procs < 1 || cfg.Procs > native.MaxSlots || cfg.Requests < 1 {
-		return nil, fmt.Errorf("service: native sizing out of range (procs=%d requests=%d)", cfg.Procs, cfg.Requests)
-	}
-	if err := cfg.Traffic.check(cfg.Requests); err != nil {
-		return nil, err
-	}
-	N := cfg.Procs
-	mem := native.NewMem(1<<16 + N*(cfg.Traffic.Keys+cfg.Traffic.Tenants+128) + 2*N*cfg.Traffic.Keys)
-	fam := registry.FamilyBaseline
-	if cfg.Variant == WaitFree {
-		fam = registry.FamilyMulti
-	}
-	h := registry.NewNativeHarness(fam, mem, N, native.ObsConfig{Metrics: cfg.Obs})
-	st, err := NewStore(registry.NativeBackend(h.World), StoreConfig{
-		Kind: cfg.Kind, Variant: cfg.Variant,
-		Keys: cfg.Traffic.Keys, Tenants: cfg.Traffic.Tenants,
-		Slots: N, Budget: cfg.Budget, Batch: cfg.Batch,
-	})
+	h, st, err := buildNative(cfg)
 	if err != nil {
 		return nil, err
 	}
 
+	N := cfg.Procs
 	tallies := make([]slotTally, N)
 	hr := h.Run(fmt.Sprintf("service-%s-%s", cfg.Kind, cfg.Variant), cfg.Seed, func(p *native.Proc, slot int) {
 		t := &tallies[slot]
@@ -101,4 +85,32 @@ func RunNative(cfg NativeConfig) (*NativeResult, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// buildNative is RunNative up to the first goroutine: it checks the
+// normalized cfg, sizes a fresh native memory, lays out the harness and
+// builds the store.
+func buildNative(cfg NativeConfig) (*registry.NativeHarness, Store, error) {
+	if cfg.Procs < 1 || cfg.Procs > native.MaxSlots || cfg.Requests < 1 {
+		return nil, nil, fmt.Errorf("service: native sizing out of range (procs=%d requests=%d)", cfg.Procs, cfg.Requests)
+	}
+	if err := cfg.Traffic.check(cfg.Requests); err != nil {
+		return nil, nil, err
+	}
+	// Per slot: its stripes (whole lines on native, so up to 7 words of
+	// padding each) and the waitfree store's Par and Rv rows, one line
+	// each, inside the 128-word allowance.
+	N := cfg.Procs
+	mem := native.NewMem(1<<16 + N*(cfg.Traffic.Keys+cfg.Traffic.Tenants+128) + 2*N*cfg.Traffic.Keys)
+	fam := registry.FamilyBaseline
+	if cfg.Variant == WaitFree {
+		fam = registry.FamilyMulti
+	}
+	h := registry.NewNativeHarness(fam, mem, N, native.ObsConfig{Metrics: cfg.Obs})
+	st, err := NewStore(registry.NativeBackend(h.World), StoreConfig{
+		Kind: cfg.Kind, Variant: cfg.Variant,
+		Keys: cfg.Traffic.Keys, Tenants: cfg.Traffic.Tenants,
+		Slots: N, Budget: cfg.Budget, Batch: cfg.Batch,
+	})
+	return h, st, err
 }

@@ -185,11 +185,14 @@ func NewStore(b registry.Backend, cfg StoreConfig) (Store, error) {
 
 // wfScratch is a per-slot argument buffer for single-word MWCAS calls, so
 // the hot path never allocates (the buffers alias nothing and each slot
-// owns its entry).
+// owns its entry). The waitfree stores write their slot's entry on every
+// request, so an entry fills a 64-byte cache line: at its 24 data bytes,
+// neighbouring slots would share a line.
 type wfScratch struct {
 	addr [1]shmem.Addr
 	old  [1]uint64
 	next [1]uint64
+	_    [64 - 3*8]byte
 }
 
 // wfRetryCap bounds the waitfree variants' transaction retry loops.

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/native"
 )
@@ -208,6 +209,33 @@ func TestShardedLimiterNeverOverAdmits(t *testing.T) {
 	for tw, n := range res.Admits {
 		if n > 7 {
 			t.Fatalf("tenant %d window %d admitted %d > budget 7", tw.Tenant, tw.Window, n)
+		}
+	}
+}
+
+// TestWFScratchLayout pins the waitfree stores' per-slot scratch entry to
+// one 64-byte cache line: every request writes its slot's entry, and two
+// slots sharing a line would contend on it.
+func TestWFScratchLayout(t *testing.T) {
+	if size := unsafe.Sizeof(wfScratch{}); size != 64 {
+		t.Errorf("wfScratch is %d bytes, want 64 (one cache line per slot)", size)
+	}
+}
+
+// TestNativeBuildAtMaxSlots: RunNative's memory sizing fits every store
+// at native.MaxSlots processes, with each slot's rows padded to whole
+// cache lines. It builds only; no goroutine starts.
+func TestNativeBuildAtMaxSlots(t *testing.T) {
+	for _, k := range Kinds() {
+		for _, v := range Variants() {
+			cfg := NativeConfig{Kind: k, Variant: v, Procs: native.MaxSlots, Requests: 1}
+			cfg.Traffic = cfg.Traffic.Normalized()
+			h, _, err := buildNative(cfg)
+			if err != nil {
+				t.Fatalf("%s/%s at %d procs: %v", k, v, native.MaxSlots, err)
+			}
+			mem := h.World.Mem()
+			t.Logf("%s/%s: %d of %d words allocated", k, v, mem.Allocated(), mem.Capacity())
 		}
 	}
 }

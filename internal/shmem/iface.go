@@ -22,9 +22,11 @@ import "repro/internal/trace"
 // aliases it as sched.Priority).
 type Priority int
 
-// Memory is the setup-time surface of a shared memory: allocation and
-// unsynchronized peeks/pokes for constructors, seeding, snapshots and
-// checkers. Both *Mem (simulated) and *native.Mem implement it.
+// Memory is the setup-time surface of a shared memory: allocation (Alloc
+// for plain words, AllocRows for per-process rows, whose stride is the
+// backend's) and unsynchronized peeks/pokes for constructors, seeding,
+// snapshots and checkers. Both *Mem (simulated) and *native.Mem implement
+// it.
 //
 // Peek and Poke are only legal when the memory is quiescent with respect to
 // the caller (setup before processes start, or teardown after they join);
@@ -35,6 +37,15 @@ type Memory interface {
 	Alloc(name string, n int) (Addr, error)
 	// MustAlloc is Alloc for setup code that sizes its memory up front.
 	MustAlloc(name string, n int) Addr
+	// AllocRows reserves rows equal rows of width words under one debug
+	// name, for state indexed by process slot or processor (Par[p],
+	// Rv[p], Ann[R], ...). Row i starts at base + i*stride, and stride >=
+	// width is the backend's one layout rule for such rows: the
+	// simulator packs them densely (stride == width, the addresses and
+	// names of Alloc(name, rows*width)), while native memory gives every
+	// row whole cache lines, so no two processes' rows share a line.
+	// Callers keep the stride and index rows only through it (see Rows).
+	AllocRows(name string, rows, width int) (base Addr, stride int, err error)
 	// Peek reads a word without process context (checkers, snapshots).
 	Peek(a Addr) uint64
 	// Poke writes a word without process context (setup code).
@@ -43,9 +54,26 @@ type Memory interface {
 	Name(a Addr) string
 	// Capacity returns the total number of words.
 	Capacity() int
-	// Allocated returns the number of words handed out so far.
+	// Allocated returns the number of words handed out so far, row
+	// padding included.
 	Allocated() int
 }
+
+// Rows is a block of equal rows from Memory.AllocRows: row i occupies
+// Row(i) .. Row(i)+width-1.
+type Rows struct {
+	Base   Addr
+	Stride int
+}
+
+// NewRows allocates rows through m.AllocRows.
+func NewRows(m Memory, name string, rows, width int) (Rows, error) {
+	base, stride, err := m.AllocRows(name, rows, width)
+	return Rows{Base: base, Stride: stride}, err
+}
+
+// Row returns the address of row i's first word.
+func (r Rows) Row(i int) Addr { return r.Base + Addr(i*r.Stride) }
 
 // Ctx is the per-process execution context the algorithms run under: every
 // shared-memory operation and every scheduling-relevant action goes through

@@ -300,6 +300,17 @@ func (m *Mem) Alloc(name string, n int) (Addr, error) {
 	return base, nil
 }
 
+// AllocRows reserves rows rows of width words as one dense segment: the
+// stride is width, so the addresses and names are exactly those of
+// Alloc(name, rows*width).
+func (m *Mem) AllocRows(name string, rows, width int) (Addr, int, error) {
+	if rows < 0 || width < 0 {
+		return None, 0, fmt.Errorf("shmem: negative row allocation %q (%d rows of %d words)", name, rows, width)
+	}
+	base, err := m.Alloc(name, rows*width)
+	return base, width, err
+}
+
 // MustAlloc is Alloc for setup code that sizes its memory up front; it
 // panics on exhaustion, which indicates a configuration bug rather than a
 // runtime condition.

@@ -40,6 +40,32 @@ func TestAllocExhaustion(t *testing.T) {
 	}
 }
 
+// TestAllocRowsDense: the simulator's rows are packed (stride == width),
+// so AllocRows hands out exactly the addresses and names of one
+// Alloc(name, rows*width), and Rows indexes them.
+func TestAllocRowsDense(t *testing.T) {
+	m, dense := New(64), New(64)
+	dense.MustAlloc("V", 1)
+	m.MustAlloc("V", 1)
+	par, err := NewRows(m, "Par", 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := dense.MustAlloc("Par", 9)
+	if par.Base != want || par.Stride != 3 || m.Allocated() != dense.Allocated() {
+		t.Fatalf("rows = %+v, Allocated %d; want base %d stride 3, Allocated %d", par, m.Allocated(), want, dense.Allocated())
+	}
+	if got := par.Row(2) + 1; got != want+7 || m.Name(got) != "Par+7" {
+		t.Errorf("Par[2][1] at %d (%q), want %d (Par+7)", got, m.Name(got), want+7)
+	}
+	if _, _, err := m.AllocRows("big", 100, 1); !errors.Is(err, ErrOutOfMemory) {
+		t.Errorf("AllocRows beyond capacity: err = %v, want ErrOutOfMemory", err)
+	}
+	if _, _, err := m.AllocRows("neg", -1, 1); err == nil {
+		t.Error("AllocRows(-1 rows) succeeded, want error")
+	}
+}
+
 func TestMustAllocPanics(t *testing.T) {
 	m := New(2)
 	defer func() {

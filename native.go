@@ -49,13 +49,18 @@ type (
 )
 
 // NewNativeMem allocates native shared memory of the given word count.
+// Every per-process row an object keeps (Par[p], Rv[p], Ann[R], a free-list
+// head) fills whole 64-byte cache lines on native memory, and that padding
+// counts against the word count: allow about 8 words per row, so a few
+// dozen words per process beyond the object's nodes and data words.
 func NewNativeMem(words int) *NativeMem { return native.NewMem(words) }
 
 // NewNativeWorld creates a native world of `shards` priority-disciplined
 // shards over a fresh memory of memWords words. Within a shard, the
 // highest-priority ready process runs and strictly-higher-priority
 // arrivals preempt at memory operations — the paper's scheduling model,
-// enforced at runtime rather than simulated.
+// enforced at runtime rather than simulated. Size memWords as for
+// NewNativeMem.
 func NewNativeWorld(memWords, shards int) *NativeWorld {
 	return native.NewWorld(native.NewMem(memWords), shards)
 }
