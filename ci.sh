@@ -35,6 +35,9 @@ go test -race -short ./internal/native/... ./internal/prim/...
 # flag load: the shard preemption check (Proc.point) must stay within the
 # compiler's inlining budget, or every Load/Store/CAS pays a call again.
 go build -gcflags=-m ./internal/native 2>&1 | grep -q 'can inline (\*Proc).point'
+# Every hop of a validated read is one managed-word Read, a load and a mask:
+# it must inline into the objects, or each hop pays a call before its load.
+go build -gcflags=-m ./internal/prim 2>&1 | grep -q 'can inline Impl.Read'
 go test -race -short -run Native ./internal/registry/
 
 # Service subsystem: hot-key counter and token-bucket limiter, all four
@@ -63,14 +66,20 @@ test "$(grep -rlE --include='*.go' --exclude='*_test.go' \
 go test ./internal/registry/ -run TestRegistryCompleteness
 
 # Mutant corpus: each hand mutant is compiled in only under its build tag
-# (internal/core/multilist/mut_*.go), as tag:test, the test that must
+# (the package's mut_*.go files), as tag:package:test, the test that must
 # kill it. The package must build with the tag, and the test must fail:
 # a mutant that passes is a guard that no longer guards.
-for m in mut_epoch_after_rv:TestEpochWindowSweep mut_epoch_winner_only:TestEpochWindowSweep; do
+for m in \
+    mut_epoch_after_rv:./internal/core/multilist:TestEpochWindowSweep \
+    mut_epoch_winner_only:./internal/core/multilist:TestEpochWindowSweep \
+    mut_read_unvalidated:./internal/core/multilist:TestReadRecycleWindow \
+    mut_tag8:./internal/prim:TestTaggedWrapInWindow; do
     tag=${m%%:*}
-    killer=${m#*:}
-    go vet -tags "$tag" ./internal/core/multilist
-    if go test -count=1 -tags "$tag" -run "^$killer\$" ./internal/core/multilist > /dev/null; then
+    rest=${m#*:}
+    pkg=${rest%%:*}
+    killer=${rest#*:}
+    go vet -tags "$tag" "$pkg"
+    if go test -count=1 -tags "$tag" -run "^$killer\$" "$pkg" > /dev/null; then
         echo "ci.sh: mutant $tag survived $killer" >&2
         exit 1
     fi

@@ -78,7 +78,7 @@ func New(m shmem.Memory, capacity, slots int) (*Arena, error) {
 		heads:    heads,
 		capacity: capacity,
 		slots:    slots,
-		nextImpl: prim.Native{},
+		nextImpl: prim.Native(),
 	}
 	// Ref 0: the nil-node. Key is the maximum key so that a scan that
 	// strays onto it stops; next points to itself.

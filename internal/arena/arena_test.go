@@ -178,7 +178,7 @@ func TestTaggedNextImpl(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.SetNextImpl(prim.Tagged{})
+	a.SetNextImpl(prim.Tagged())
 	a.Freeze()
 	s.SpawnAt(0, 0, 1, "t", func(e *sched.Env) {
 		var refs []Ref

@@ -96,7 +96,8 @@ func (c *MultiMWCASChecker) OnWrite(ev shmem.WriteEvent) {
 	}
 	// Decode the logical transition; raw values include tag bits under
 	// the tagged representation.
-	from, to := rvLogical(ev.Old), rvLogical(ev.New)
+	cc := c.obj.CC()
+	from, to := cc.Logical(ev.Old), cc.Logical(ev.New)
 	switch {
 	case from == multimwcas.RvComparing && to == multimwcas.RvSwapping:
 		c.commit(p, ev.Step)
@@ -104,9 +105,6 @@ func (c *MultiMWCASChecker) OnWrite(ev shmem.WriteEvent) {
 		c.failOp(p, ev.Step)
 	}
 }
-
-// rvLogical strips the (possible) tag byte of the tagged representation.
-func rvLogical(raw uint64) uint64 { return raw & ((uint64(1) << 56) - 1) }
 
 func (c *MultiMWCASChecker) commit(p int, step uint64) {
 	op := c.multiOpAt(p)

@@ -64,7 +64,8 @@ const (
 type Config struct {
 	// Processors is P; Procs is N; Buckets is K.
 	Processors, Procs, Buckets int
-	// CC selects the CCAS implementation; defaults to Native.
+	// CC selects the CCAS implementation; unset (the zero prim.Impl)
+	// defaults to prim.Native().
 	CC prim.Impl
 	// Mode selects cyclic or priority helping; defaults to Cyclic.
 	Mode helping.Mode
@@ -101,8 +102,8 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Table, error) {
 	if cfg.Buckets < 1 {
 		return nil, fmt.Errorf("multihash: bucket count %d out of range", cfg.Buckets)
 	}
-	if cfg.CC == nil {
-		cfg.CC = prim.Native{}
+	if cfg.CC.IsZero() {
+		cfg.CC = prim.Native()
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = helping.Cyclic

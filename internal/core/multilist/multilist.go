@@ -73,7 +73,8 @@ const (
 type Config struct {
 	// Processors is P; Procs is N.
 	Processors, Procs int
-	// CC selects the CCAS implementation; defaults to Native.
+	// CC selects the CCAS implementation; unset (the zero prim.Impl)
+	// defaults to prim.Native().
 	CC prim.Impl
 	// Mode selects cyclic or priority helping; defaults to Cyclic.
 	Mode helping.Mode
@@ -119,8 +120,8 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*List, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("multilist: process count %d out of range", cfg.Procs)
 	}
-	if cfg.CC == nil {
-		cfg.CC = prim.Native{}
+	if cfg.CC.IsZero() {
+		cfg.CC = prim.Native()
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = helping.Cyclic
@@ -310,9 +311,9 @@ func (l *List) read(e shmem.Ctx, key uint64) (found, ok bool) {
 			return false, false
 		}
 		if nextkey := e.Load(l.ar.KeyAddr(next)); nextkey >= key {
-			return nextkey == key, l.cc.Read(e, l.epoch) == sw
+			return nextkey == key, mutReadUnvalidated || l.cc.Read(e, l.epoch) == sw
 		}
-		if hop%readCheck == 0 && l.cc.Read(e, l.epoch) != sw {
+		if !mutReadUnvalidated && hop%readCheck == 0 && l.cc.Read(e, l.epoch) != sw {
 			return false, false
 		}
 		curr = next

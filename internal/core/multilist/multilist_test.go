@@ -119,8 +119,8 @@ func TestStressAllVariants(t *testing.T) {
 			variant{cc, helping.Priority, 1})
 	}
 	variants = append(variants,
-		variant{prim.Native{}, helping.Cyclic, 10},
-		variant{prim.Tagged{}, helping.Cyclic, 100})
+		variant{prim.Native(), helping.Cyclic, 10},
+		variant{prim.Tagged(), helping.Cyclic, 100})
 	for _, v := range variants {
 		v := v
 		t.Run(fmt.Sprintf("%s_%s_stride%d", v.cc.Name(), v.mode, v.stride), func(t *testing.T) {

@@ -5,4 +5,5 @@ package multilist
 const (
 	mutEpochAfterRv    = true
 	mutEpochWinnerOnly = false
+	mutReadUnvalidated = false
 )

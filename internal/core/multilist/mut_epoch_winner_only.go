@@ -5,4 +5,5 @@ package multilist
 const (
 	mutEpochAfterRv    = false
 	mutEpochWinnerOnly = true
+	mutReadUnvalidated = false
 )

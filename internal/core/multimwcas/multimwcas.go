@@ -45,7 +45,8 @@ func Done(rv uint64) bool { return rv >= RvTrue }
 type Config struct {
 	// Processors is P, Procs is N, Width is B (max words per operation).
 	Processors, Procs, Width int
-	// CC selects the CCAS implementation (native, tagged, delayed).
+	// CC selects the CCAS implementation (native, tagged, delayed); unset
+	// (the zero prim.Impl) defaults to prim.Native().
 	CC prim.Impl
 	// Mode selects cyclic or priority helping; defaults to Cyclic.
 	Mode helping.Mode
@@ -83,8 +84,8 @@ func New(m shmem.Memory, cfg Config) (*Object, error) {
 	if cfg.Width < 1 {
 		return nil, fmt.Errorf("multimwcas: width %d out of range", cfg.Width)
 	}
-	if cfg.CC == nil {
-		cfg.CC = prim.Native{}
+	if cfg.CC.IsZero() {
+		cfg.CC = prim.Native()
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = helping.Cyclic
@@ -115,6 +116,9 @@ func New(m shmem.Memory, cfg Config) (*Object, error) {
 
 // Engine exposes the helping engine, for checkers and ablation benches.
 func (o *Object) Engine() *helping.Engine { return o.eng }
+
+// CC returns the CCAS implementation that manages the object's words.
+func (o *Object) CC() prim.Impl { return o.cc }
 
 // InitWord initializes an application word at setup time. Under the tagged
 // CCAS representation values are limited to the implementation's MaxLogical.

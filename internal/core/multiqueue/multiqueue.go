@@ -52,7 +52,8 @@ func Done(rv uint64) bool { return rv != RvPending }
 type Config struct {
 	// Processors is P; Procs is N.
 	Processors, Procs int
-	// CC selects the CCAS implementation; defaults to Native.
+	// CC selects the CCAS implementation; unset (the zero prim.Impl)
+	// defaults to prim.Native().
 	CC prim.Impl
 	// Mode selects cyclic or priority helping; defaults to Cyclic.
 	Mode helping.Mode
@@ -84,8 +85,8 @@ func New(m shmem.Memory, ar *arena.Arena, cfg Config) (*Queue, error) {
 	if cfg.Procs < 1 {
 		return nil, fmt.Errorf("multiqueue: process count %d out of range", cfg.Procs)
 	}
-	if cfg.CC == nil {
-		cfg.CC = prim.Native{}
+	if cfg.CC.IsZero() {
+		cfg.CC = prim.Native()
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = helping.Cyclic

@@ -160,7 +160,7 @@ func New(m shmem.Memory, cfg Config, doneRv uint64) (*Engine, error) {
 	if cfg.Mode != Cyclic && cfg.Mode != Priority {
 		return nil, fmt.Errorf("helping: invalid mode %v", cfg.Mode)
 	}
-	if cfg.CC == nil || cfg.Done == nil || cfg.Help == nil {
+	if cfg.CC.IsZero() || cfg.Done == nil || cfg.Help == nil {
 		return nil, fmt.Errorf("helping: CC, Done and Help are required")
 	}
 	v, err := m.Alloc("V", 1)
@@ -343,7 +343,7 @@ func (g *Engine) Advance(e shmem.Ctx, ver Version) {
 				trace.B("needhelp", next.Needhelp))
 		}
 	}
-	prim.AfterAdvance(g.cfg.CC, e)
+	g.cfg.CC.AfterAdvance(e)
 }
 
 // prioWord encodes a scheduler priority as an unsigned announce word.

@@ -1,6 +1,7 @@
 package helping_test
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -46,7 +47,7 @@ type counterObject struct {
 
 func newCounterObject(t *testing.T, m *shmem.Mem, p, n int, mode helping.Mode) *counterObject {
 	t.Helper()
-	o := &counterObject{cc: prim.Native{}}
+	o := &counterObject{cc: prim.Native()}
 	o.counter = m.MustAlloc("counter", 1)
 	o.par = m.MustAlloc("cpar", 2*(n+1))
 	eng, err := helping.New(m, helping.Config{
@@ -172,7 +173,7 @@ func TestPreemptedOperationIsHelped(t *testing.T) {
 func TestValidation(t *testing.T) {
 	m := shmem.New(64)
 	base := helping.Config{
-		Processors: 1, Procs: 1, Mode: helping.Cyclic, CC: prim.Native{},
+		Processors: 1, Procs: 1, Mode: helping.Cyclic, CC: prim.Native(),
 		Done: func(uint64) bool { return true },
 		Help: func(shmem.Ctx, helping.Version) {},
 	}
@@ -193,6 +194,11 @@ func TestValidation(t *testing.T) {
 	bad.Help = nil
 	if _, err := helping.New(m, bad, 2); err == nil {
 		t.Error("nil Help accepted")
+	}
+	bad = base
+	bad.CC = prim.Impl{}
+	if _, err := helping.New(m, bad, 2); err == nil || !strings.Contains(err.Error(), "CC, Done and Help are required") {
+		t.Errorf("unset CC: err %v, want the required-fields error", err)
 	}
 	bad = base
 	bad.Mode = helping.Mode(7)

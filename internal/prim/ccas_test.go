@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/native"
 	"repro/internal/sched"
 )
 
@@ -85,7 +86,7 @@ func TestTaggedCounterAdvances(t *testing.T) {
 	v := m.MustAlloc("V", 1)
 	x := m.MustAlloc("X", 1)
 	m.Poke(v, 1)
-	impl := Tagged{}
+	impl := Tagged()
 	impl.InitWord(m, x, 0)
 	s.SpawnAt(0, 0, 1, "t", func(e *sched.Env) {
 		prevTag := e.Load(x) >> tagShift
@@ -113,7 +114,7 @@ func TestTaggedRejectsWideValues(t *testing.T) {
 	v := m.MustAlloc("V", 1)
 	x := m.MustAlloc("X", 1)
 	s.SpawnAt(0, 0, 1, "t", func(e *sched.Env) {
-		Tagged{}.Exec(e, v, 0, x, ^uint64(0), 0)
+		Tagged().Exec(e, v, 0, x, ^uint64(0), 0)
 	})
 	if err := s.Run(); err == nil {
 		t.Fatal("Tagged accepted an over-wide logical value")
@@ -205,7 +206,7 @@ func TestCCASEquivalence(t *testing.T) {
 						}
 						if e.Rand().Intn(4) == 0 {
 							e.CAS(v, ver, ver+1)
-							AfterAdvance(impl, e)
+							impl.AfterAdvance(e)
 							e.Delay(4)
 						}
 					}
@@ -241,23 +242,63 @@ func TestByName(t *testing.T) {
 }
 
 // TestDelayedAfterAdvance: the Figure 8(c) delay(Δ) hook charges Delta time
-// for the Delayed implementation and nothing for the others.
+// for the Delayed implementation and nothing for the others, even when
+// their Delta is set.
 func TestDelayedAfterAdvance(t *testing.T) {
-	for _, impl := range []Impl{Native{}, Tagged{}, Delayed{Delta: 7}} {
+	nat, tag := Native(), Tagged()
+	nat.Delta, tag.Delta = 7, 7
+	for _, impl := range []Impl{nat, tag, Delayed(7)} {
 		impl := impl
 		s := sched.New(sched.Config{Processors: 1, Seed: 1, MemWords: 64})
 		s.SpawnAt(0, 0, 1, "t", func(e *sched.Env) {
-			AfterAdvance(impl, e)
+			impl.AfterAdvance(e)
 		})
 		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		want := int64(0)
-		if _, ok := impl.(Delayed); ok {
+		if impl.kind == kindDelayed {
 			want = 7
 		}
 		if got := s.Elapsed(); got != want {
 			t.Errorf("%s: AfterAdvance charged %d, want %d", impl.Name(), got, want)
 		}
+	}
+}
+
+// TestZeroImpl: the zero Impl is unset. It names itself so, and every
+// operation that writes a managed word refuses it instead of guessing a
+// representation.
+func TestZeroImpl(t *testing.T) {
+	var zero Impl
+	if !zero.IsZero() || zero.IsNative() || zero.Name() != "unset" {
+		t.Fatalf("zero Impl: IsZero %v, IsNative %v, Name %q", zero.IsZero(), zero.IsNative(), zero.Name())
+	}
+	for _, impl := range All() {
+		if impl.IsZero() {
+			t.Errorf("%s: IsZero", impl.Name())
+		}
+		if impl.IsNative() != (impl.Name() == "native") {
+			t.Errorf("%s: IsNative = %v", impl.Name(), impl.IsNative())
+		}
+	}
+	m := native.NewMem(8)
+	x := m.MustAlloc("X", 1)
+	p := native.NewWorld(m, 1).NewProc(0, 0, 1)
+	p.Begin()
+	defer p.End()
+	for name, op := range map[string]func(){
+		"Exec":     func() { zero.Exec(p, x, 0, x, 0, 1) },
+		"Write":    func() { zero.Write(p, x, 1) },
+		"InitWord": func() { zero.InitWord(m, x, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("zero Impl: %s did not panic", name)
+				}
+			}()
+			op()
+		}()
 	}
 }

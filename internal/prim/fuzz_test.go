@@ -71,7 +71,7 @@ func FuzzCCASTape(f *testing.F) {
 							t.Fatalf("%s step %d: version CAS failed sequentially", impl.Name(), i)
 						}
 						refVer++
-						AfterAdvance(impl, e)
+						impl.AfterAdvance(e)
 					case 3:
 						if got := impl.Read(e, x); got != refX {
 							t.Fatalf("%s step %d: Read = %d, want %d", impl.Name(), i, got, refX)
@@ -105,7 +105,7 @@ func FuzzCCASChain(f *testing.F) {
 			return
 		}
 		for _, impl := range All() {
-			s, x, wins := chainSim(impl, data, sched.Config{})
+			s, x, wins := chainSim(impl, impl.Exec, data, sched.Config{})
 			if err := s.Run(); err != nil {
 				t.Fatalf("%s: Run: %v", impl.Name(), err)
 			}
@@ -124,11 +124,16 @@ var chainSeeds = [][]byte{
 	[]byte("\xff\x0f\x00\x08"),
 }
 
+// execFunc is the signature of Impl.Exec, so that a test can substitute a
+// reference form of the construction.
+type execFunc func(e shmem.Ctx, v shmem.Addr, ver uint64, x shmem.Addr, old, val uint64) bool
+
 // chainSim builds, but does not run, the FuzzCCASChain cast for data (at
 // least 3 bytes) on a one-processor simulation; cfg supplies the optional
-// knobs (tracing, run-ahead). x is the shared word; wins[p] counts process
-// p's successful CCASes once the run finishes.
-func chainSim(impl Impl, data []byte, cfg sched.Config) (s *sched.Sim, x shmem.Addr, wins []uint64) {
+// knobs (tracing, run-ahead). Every CCAS goes through exec; impl supplies
+// the rest of the word discipline. x is the shared word; wins[p] counts
+// process p's successful CCASes once the run finishes.
+func chainSim(impl Impl, exec execFunc, data []byte, cfg sched.Config) (s *sched.Sim, x shmem.Addr, wins []uint64) {
 	byteAt := func(i int) int64 { return int64(data[i%len(data)]) }
 	cfg.Processors, cfg.Seed, cfg.MemWords = 1, 1+byteAt(0), 256
 	s = sched.New(cfg)
@@ -138,10 +143,6 @@ func chainSim(impl Impl, data []byte, cfg sched.Config) (s *sched.Sim, x shmem.A
 	m.Poke(v, 0)
 	impl.InitWord(m, x, 0)
 	wins = make([]uint64, 3)
-	adv := impl
-	if ref, ok := impl.(closureDelayed); ok {
-		adv = ref.Delayed // AfterAdvance keys off the Delayed type
-	}
 	for p := 0; p < 3; p++ {
 		p := p
 		attempts := 2 + int(byteAt(p+1)%6)
@@ -151,12 +152,12 @@ func chainSim(impl Impl, data []byte, cfg sched.Config) (s *sched.Sim, x shmem.A
 			for n := 0; n < attempts; n++ {
 				old := impl.Read(e, x)
 				ver := e.Load(v)
-				if impl.Exec(e, v, ver, x, old, old+1) {
+				if exec(e, v, ver, x, old, old+1) {
 					wins[p]++
 				}
 				if n%advanceEvery == 0 {
 					if cur := e.Load(v); e.CAS(v, cur, cur+1) {
-						AfterAdvance(adv, e)
+						impl.AfterAdvance(e)
 					}
 				}
 			}

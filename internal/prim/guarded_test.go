@@ -14,43 +14,38 @@ import (
 	"repro/internal/shmem"
 )
 
-// closureTagged and closureDelayed are the reference forms of the software
-// constructions: the Figure 8 window written as a closure run under
-// Ctx.NoPreempt, the way Exec was built before Ctx.GuardedCAS existed. They
-// are kept only to pin that GuardedCAS is observationally identical.
-type closureTagged struct{ Tagged }
-
-func (closureTagged) Exec(e shmem.Ctx, v shmem.Addr, ver uint64, x shmem.Addr, old, val uint64) bool {
-	checkLogical("Tagged", old, val)
-	raw := e.Load(x)
-	if raw&logicalMask != old {
-		return false
-	}
-	ok := false
-	e.NoPreempt(func() {
-		if e.Load(v) != ver {
-			return
+// closureExec returns the reference form of a software construction's
+// Exec: the Figure 8 window written as a closure run under Ctx.NoPreempt,
+// the way Exec was built before Ctx.GuardedCAS existed. It is kept only to
+// pin that GuardedCAS is observationally identical.
+func closureExec(impl Impl) execFunc {
+	return func(e shmem.Ctx, v shmem.Addr, ver uint64, x shmem.Addr, old, val uint64) bool {
+		var raw, next uint64
+		switch impl.kind {
+		case kindTagged:
+			checkLogical("Tagged", old, val)
+			raw = e.Load(x)
+			if raw&logicalMask != old {
+				return false
+			}
+			next = (val & logicalMask) | (raw&^logicalMask + tagIncrement)
+		case kindDelayed:
+			if e.Load(x) != old {
+				return false
+			}
+			raw, next = old, val
+		default:
+			panic("closureExec: " + impl.Name() + " has no software window")
 		}
-		next := (val & logicalMask) | (raw&^logicalMask + tagIncrement)
-		ok = e.CAS(x, raw, next)
-	})
-	return ok
-}
-
-type closureDelayed struct{ Delayed }
-
-func (d closureDelayed) Exec(e shmem.Ctx, v shmem.Addr, ver uint64, x shmem.Addr, old, val uint64) bool {
-	if e.Load(x) != old {
-		return false
+		ok := false
+		e.NoPreempt(func() {
+			if e.Load(v) != ver {
+				return
+			}
+			ok = e.CAS(x, raw, next)
+		})
+		return ok
 	}
-	ok := false
-	e.NoPreempt(func() {
-		if e.Load(v) != ver {
-			return
-		}
-		ok = e.CAS(x, old, val)
-	})
-	return ok
 }
 
 // chainCorpus returns FuzzCCASChain's whole seed corpus: the in-code seeds
@@ -83,11 +78,11 @@ func chainCorpus(t *testing.T) [][]byte {
 
 // chainFingerprint runs the chain cast traced and renders its full event
 // log, its metrics.Report and the final shared word.
-func chainFingerprint(t *testing.T, impl Impl, data []byte, serial bool) string {
+func chainFingerprint(t *testing.T, impl Impl, exec execFunc, data []byte, serial bool) string {
 	t.Helper()
 	sched.SetRunAhead(!serial)
 	defer sched.SetRunAhead(true)
-	s, x, wins := chainSim(impl, data, sched.Config{EnableTrace: true})
+	s, x, wins := chainSim(impl, exec, data, sched.Config{EnableTrace: true})
 	if err := s.Run(); err != nil {
 		t.Fatalf("%s: Run: %v", impl.Name(), err)
 	}
@@ -111,10 +106,7 @@ func chainFingerprint(t *testing.T, impl Impl, data []byte, serial bool) string 
 // highest-priority process's release time — the sweep is what lands an
 // arrival inside the window, so an unmasked window diverges.
 func TestGuardedCASMatchesClosure(t *testing.T) {
-	pairs := []struct{ got, ref Impl }{
-		{Tagged{}, closureTagged{}},
-		{Delayed{Delta: 2}, closureDelayed{Delayed{Delta: 2}}},
-	}
+	impls := []Impl{Tagged(), Delayed(2)}
 	inputs := chainCorpus(t)
 	for r := byte(0); r < 32; r++ {
 		// Seven attempts each, low and middle released at 0 and 3, the
@@ -122,13 +114,13 @@ func TestGuardedCASMatchesClosure(t *testing.T) {
 		inputs = append(inputs, []byte{1, 5, 5, 5, 0, 3, r, 0, 0, 0})
 	}
 	for i, data := range inputs {
-		for _, pr := range pairs {
+		for _, impl := range impls {
 			for _, serial := range []bool{false, true} {
-				got := chainFingerprint(t, pr.got, data, serial)
-				want := chainFingerprint(t, pr.ref, data, serial)
+				got := chainFingerprint(t, impl, impl.Exec, data, serial)
+				want := chainFingerprint(t, impl, closureExec(impl), data, serial)
 				if got != want {
 					t.Errorf("input %d %s serial=%v: GuardedCAS diverged from the closure form:\n--- closure ---\n%s\n--- guarded ---\n%s",
-						i, pr.got.Name(), serial, want, got)
+						i, impl.Name(), serial, want, got)
 				}
 			}
 		}
@@ -167,7 +159,7 @@ func TestExecAllocFree(t *testing.T) {
 	if native.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	for _, impl := range []Impl{Tagged{}, Delayed{Delta: 2}} {
+	for _, impl := range []Impl{Tagged(), Delayed(2)} {
 		t.Run(impl.Name()+"/native", func(t *testing.T) {
 			m := native.NewMem(8)
 			v := m.MustAlloc("V", 1)
@@ -199,5 +191,56 @@ func TestExecAllocFree(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// stallCtx stalls its process inside the first GuardedCAS window it
+// enters, the way a host can deschedule a goroutine there on native: after
+// the version check passes and before the CAS, another process advances
+// the version word and rewrites x through k protocol Writes, each back to
+// the logical value x already holds.
+type stallCtx struct {
+	shmem.Ctx
+	impl  Impl
+	k     int
+	stall bool
+}
+
+func (c *stallCtx) GuardedCAS(v shmem.Addr, ver uint64, x shmem.Addr, old, val uint64) bool {
+	if !c.stall {
+		return c.Ctx.GuardedCAS(v, ver, x, old, val)
+	}
+	c.stall = false
+	if c.Load(v) != ver {
+		return false
+	}
+	c.CAS(v, ver, ver+1)
+	for i := 0; i < c.k; i++ {
+		c.impl.Write(c.Ctx, x, c.impl.Read(c.Ctx, x))
+	}
+	return c.CAS(x, old, val)
+}
+
+// TestTaggedWrapInWindow: a Tagged CCAS whose window spans k same-value
+// rewrites of its word must fail, since the version it checked is stale by
+// the time its CAS lands. Only the counter field can tell, and it can only
+// while k stays below 2^tagBits: 256 rewrites defeat an 8-bit counter,
+// 2^16-1 is the most a 16-bit counter survives.
+func TestTaggedWrapInWindow(t *testing.T) {
+	for _, k := range []int{1, 255, 256, 1<<16 - 1} {
+		m := native.NewMem(8)
+		v := m.MustAlloc("V", 1)
+		x := m.MustAlloc("X", 1)
+		impl := Tagged()
+		impl.InitWord(m, x, 10)
+		p := native.NewWorld(m, 1).NewProc(0, 0, 1)
+		p.Begin()
+		ctx := &stallCtx{Ctx: p, impl: impl, k: k, stall: true}
+		ok := impl.Exec(ctx, v, 0, x, 10, 77)
+		got := impl.Read(p, x)
+		p.End()
+		if ok || got != 10 {
+			t.Errorf("k=%d: stale CCAS succeeded=%v, X = %d (want a failure leaving 10)", k, ok, got)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/native"
+	"repro/internal/prim"
 	"repro/internal/sched"
 )
 
@@ -14,7 +15,10 @@ const zeroConfigOps = 60
 // TestZeroConfigBuildsAndApplies: every descriptor builds from Config{} on
 // both backends and applies its own Ops stream — generated from the same
 // zero Config — without panicking, matching its sequential model op for op
-// (one process, so the run is sequential).
+// (one process, so the run is sequential). The zero Config leaves CC
+// unset: on the simulator every multiprocessor object's New defaults it to
+// prim.Native (so the run makes atomic CCAS steps), and off the simulator
+// Normalize defaults it to prim.Tagged and still refuses prim.Native.
 func TestZeroConfigBuildsAndApplies(t *testing.T) {
 	for _, d := range All() {
 		ops := d.Ops(Config{}, 1, 0, zeroConfigOps)
@@ -48,9 +52,20 @@ func TestZeroConfigBuildsAndApplies(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(t, inst, got)
+			if ccas := s.Report(d.Name).Mem.CCAS; d.Family == FamilyMulti && ccas == 0 {
+				t.Error("an unset CC did not default to prim.Native: the run made no atomic CCAS step")
+			}
 		})
 		t.Run(d.Name+"/native", func(t *testing.T) {
 			w, place := nativeLayout(d.Family, native.NewMem(1<<17), 2)
+			var cfg Config
+			if err := d.Normalize(NativeBackend(w), &cfg); err != nil || cfg.CC != prim.Tagged() {
+				t.Errorf("Normalize off the simulator: CC %s, err %v (want tagged, nil)", cfg.CC.Name(), err)
+			}
+			cfg = Config{CC: prim.Native()}
+			if err := d.Normalize(NativeBackend(w), &cfg); err == nil {
+				t.Error("Normalize accepted prim.Native off the simulator")
+			}
 			inst, err := BuildOn(NativeBackend(w), d.Name, Config{})
 			if err != nil {
 				t.Fatal(err)

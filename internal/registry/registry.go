@@ -366,9 +366,9 @@ func (d *Descriptor) Normalize(b Backend, cfg *Config) error {
 		// Real hardware has no CCAS instruction (the Figure 8 premise):
 		// default to the tagged software construction and refuse the
 		// simulator-only atomic one.
-		if cfg.CC == nil {
-			cfg.CC = prim.Tagged{}
-		} else if _, hw := cfg.CC.(prim.Native); hw {
+		if cfg.CC.IsZero() {
+			cfg.CC = prim.Tagged()
+		} else if cfg.CC.IsNative() {
 			return fmt.Errorf("%s: prim.Native is the simulator's atomic CCAS; off-simulator use a software construction (prim.Tagged or prim.Delayed)", d.Name)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // is a pure state transition: a request from a newer window refills the
 // bucket to Budget and takes the first token; a request from an older
 // window is stale and denied without touching the word; otherwise a
-// token is taken if any remain. Budget < 2^32 and window < 2^24 keep the
+// token is taken if any remain. Budget < 2^32 and window < 2^16 keep the
 // packed word within every CCAS representation's logical range.
 //
 // The oracle: for any (tenant, window), admitted requests never exceed

@@ -184,6 +184,7 @@ func TestStoreConfigValidation(t *testing.T) {
 		{"negative MaxDelta", 1, TrafficConfig{MaxDelta: -1}},
 		{"negative WindowLen", 1, TrafficConfig{WindowLen: -1}},
 		{"windows past 1<<24", 1<<24 + 1, TrafficConfig{WindowLen: 1}},
+		{"windows past 1<<16", 1<<16 + 1, TrafficConfig{WindowLen: 1}},
 	} {
 		if _, err := RunSim(SimConfig{Kind: Counter, Variant: Atomic, Requests: c.reqs, Traffic: c.tr}); err == nil {
 			t.Errorf("sim: %s accepted", c.name)
@@ -191,6 +192,17 @@ func TestStoreConfigValidation(t *testing.T) {
 		if _, err := RunNative(NativeConfig{Kind: Counter, Variant: Atomic, Procs: 1, Requests: c.reqs, Traffic: c.tr}); err == nil {
 			t.Errorf("native: %s accepted", c.name)
 		}
+	}
+	// At the bound itself the last window and the largest Budget pack
+	// into a word the tagged CCAS holds (48 logical bits): the wait-free
+	// limiter, tagged on native, admits the whole stream without a panic.
+	res, err := RunNative(NativeConfig{Kind: Limiter, Variant: WaitFree, Procs: 1, Requests: 1 << 16,
+		Traffic: TrafficConfig{Tenants: 1, WindowLen: 1}, Budget: 1<<32 - 1})
+	if err != nil {
+		t.Fatalf("limiter at the window bound: %v", err)
+	}
+	if res.Admitted != 1<<16 {
+		t.Errorf("limiter at the window bound admitted %d of %d", res.Admitted, 1<<16)
 	}
 }
 

@@ -59,13 +59,13 @@ func (c TrafficConfig) Normalized() TrafficConfig {
 
 // check rejects a normalized config the generator cannot serve for
 // streams of up to n requests: a non-positive MaxDelta or WindowLen, or
-// so many windows that Req.Window reaches its 1<<24 bound.
+// so many windows that Req.Window reaches its 1<<16 bound.
 func (c TrafficConfig) check(n int) error {
 	if c.MaxDelta < 1 || c.WindowLen < 1 {
 		return fmt.Errorf("service: traffic MaxDelta %d and WindowLen %d must be positive", c.MaxDelta, c.WindowLen)
 	}
-	if (n-1)/c.WindowLen >= 1<<24 {
-		return fmt.Errorf("service: %d requests at WindowLen %d pass the 1<<24 window bound", n, c.WindowLen)
+	if (n-1)/c.WindowLen >= 1<<16 {
+		return fmt.Errorf("service: %d requests at WindowLen %d pass the 1<<16 window bound", n, c.WindowLen)
 	}
 	return nil
 }

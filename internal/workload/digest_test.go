@@ -58,7 +58,7 @@ func TestWorkloadDigests(t *testing.T) {
 	}
 	m, err := RunMWCAS(MWCASConfig{
 		Kind: MWCASMulti, Processors: 3, Words: 5, Width: 2, TotalCommits: 150,
-		BurstsPerCPU: 2, BurstCommits: 6, Seed: 4, CC: prim.Tagged{},
+		BurstsPerCPU: 2, BurstCommits: 6, Seed: 4, CC: prim.Tagged(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,8 @@ type (
 	Priority = sched.Priority
 	// Addr addresses a word of simulated shared memory.
 	Addr = shmem.Addr
-	// CCAS is a conditional compare-and-swap implementation (Figure 8).
+	// CCAS is a conditional compare-and-swap implementation (Figure 8). The
+	// zero value is unset: a config holding it gets the default.
 	CCAS = prim.Impl
 	// HelpingMode selects cyclic or priority helping.
 	HelpingMode = helping.Mode
@@ -90,14 +91,14 @@ const (
 func NewSim(cfg SimConfig) *Sim { return sched.New(cfg) }
 
 // CCASNative returns the hardware-CCAS model (one atomic step, Figure 8(a)).
-func CCASNative() CCAS { return prim.Native{} }
+func CCASNative() CCAS { return prim.Native() }
 
 // CCASTagged returns the Figure 8(b) software CCAS (counter-tagged words).
-func CCASTagged() CCAS { return prim.Tagged{} }
+func CCASTagged() CCAS { return prim.Tagged() }
 
 // CCASDelayed returns the Figure 8(c) software CCAS (delay-based, no control
 // bits in the target word).
-func CCASDelayed() CCAS { return prim.Delayed{Delta: 2} }
+func CCASDelayed() CCAS { return prim.Delayed(2) }
 
 // ListConfig configures a wait-free list instance.
 type ListConfig struct {
@@ -223,7 +224,7 @@ func NewMultiMWCAS(sim *Sim, cfg MWCASConfig) (*MultiMWCAS, error) {
 }
 
 // MWCAS performs the multi-word compare-and-swap on full-width words
-// (under the tagged CCAS representation, values are limited to 56 bits).
+// (under the tagged CCAS representation, values are limited to 48 bits).
 func (o *MultiMWCAS) MWCAS(e Ctx, addrs []Addr, old, new []uint64) bool {
 	return o.Object.MWCAS(e, addrs, old, new)
 }
