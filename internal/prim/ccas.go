@@ -56,12 +56,12 @@ type Impl struct {
 	// mask extracts a managed word's logical value from its raw word:
 	// the low 64-tagBits bits under Tagged, every bit otherwise.
 	mask uint64
-	// Delta is the delay AfterAdvance charges under Delayed (the paper's
-	// delay(Δ)); the other constructions ignore it. The worst-case time
+	// delta is the delay AfterAdvance charges under Delayed (the paper's
+	// delay(Δ)), set only by Delayed; the other constructions ignore it. The worst-case time
 	// of Figure 8(c)'s lines 2-3 is two memory operations, so 2 is
 	// faithful; 0 relies purely on the naturally interposed code, as the
 	// paper's own experiments did.
-	Delta int64
+	delta int64
 }
 
 // Native executes CCAS as one atomic simulator step (Figure 8(a)).
@@ -79,7 +79,7 @@ func Tagged() Impl { return Impl{kind: kindTagged, mask: logicalMask} }
 // schemes this holds naturally — "enough code is executed between any
 // increment of *V and subsequent CCAS that modifies *X" — and the helping
 // engine additionally honours delta after each advance (AfterAdvance).
-func Delayed(delta int64) Impl { return Impl{kind: kindDelayed, mask: ^uint64(0), Delta: delta} }
+func Delayed(delta int64) Impl { return Impl{kind: kindDelayed, mask: ^uint64(0), delta: delta} }
 
 // IsZero reports whether c is the unset zero value.
 func (c Impl) IsZero() bool { return c.kind == kindUnset }
@@ -174,8 +174,8 @@ func (c Impl) MaxLogical() uint64 { return c.mask }
 // AfterAdvance is the hook run after every advance of the version word.
 // Only Delayed uses it (the paper's delay(Δ)).
 func (c Impl) AfterAdvance(e shmem.Ctx) {
-	if c.kind == kindDelayed && c.Delta > 0 {
-		e.Delay(c.Delta)
+	if c.kind == kindDelayed && c.delta > 0 {
+		e.Delay(c.delta)
 	}
 }
 

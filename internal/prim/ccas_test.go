@@ -241,12 +241,12 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestDelayedAfterAdvance: the Figure 8(c) delay(Δ) hook charges Delta time
+// TestDelayedAfterAdvance: the Figure 8(c) delay(Δ) hook charges delta time
 // for the Delayed implementation and nothing for the others, even when
-// their Delta is set.
+// their delta field is set.
 func TestDelayedAfterAdvance(t *testing.T) {
 	nat, tag := Native(), Tagged()
-	nat.Delta, tag.Delta = 7, 7
+	nat.delta, tag.delta = 7, 7
 	for _, impl := range []Impl{nat, tag, Delayed(7)} {
 		impl := impl
 		s := sched.New(sched.Config{Processors: 1, Seed: 1, MemWords: 64})

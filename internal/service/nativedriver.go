@@ -94,7 +94,7 @@ func buildNative(cfg NativeConfig) (*registry.NativeHarness, Store, error) {
 	if cfg.Procs < 1 || cfg.Procs > native.MaxSlots || cfg.Requests < 1 {
 		return nil, nil, fmt.Errorf("service: native sizing out of range (procs=%d requests=%d)", cfg.Procs, cfg.Requests)
 	}
-	if err := cfg.Traffic.check(cfg.Requests); err != nil {
+	if err := cfg.Traffic.check(cfg.Kind, cfg.Requests, cfg.Procs*cfg.Requests); err != nil {
 		return nil, nil, err
 	}
 	// Per slot: its stripes (whole lines on native, so up to 7 words of

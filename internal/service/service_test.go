@@ -178,20 +178,38 @@ func TestStoreConfigValidation(t *testing.T) {
 	// not a panic or a wrapped window.
 	for _, c := range []struct {
 		name string
+		kind Kind
 		reqs int
 		tr   TrafficConfig
 	}{
-		{"negative MaxDelta", 1, TrafficConfig{MaxDelta: -1}},
-		{"negative WindowLen", 1, TrafficConfig{WindowLen: -1}},
-		{"windows past 1<<24", 1<<24 + 1, TrafficConfig{WindowLen: 1}},
-		{"windows past 1<<16", 1<<16 + 1, TrafficConfig{WindowLen: 1}},
+		{"negative MaxDelta", Counter, 1, TrafficConfig{MaxDelta: -1}},
+		{"negative WindowLen", Counter, 1, TrafficConfig{WindowLen: -1}},
+		{"windows past 1<<24", Limiter, 1<<24 + 1, TrafficConfig{WindowLen: 1}},
+		{"windows past 1<<16", Limiter, 1<<16 + 1, TrafficConfig{WindowLen: 1}},
+		{"counter totals past 48 bits", Counter, 300, TrafficConfig{MaxDelta: 1 << 40}},
 	} {
-		if _, err := RunSim(SimConfig{Kind: Counter, Variant: Atomic, Requests: c.reqs, Traffic: c.tr}); err == nil {
+		if _, err := RunSim(SimConfig{Kind: c.kind, Variant: Atomic, Requests: c.reqs, Traffic: c.tr}); err == nil {
 			t.Errorf("sim: %s accepted", c.name)
 		}
-		if _, err := RunNative(NativeConfig{Kind: Counter, Variant: Atomic, Procs: 1, Requests: c.reqs, Traffic: c.tr}); err == nil {
+		if _, err := RunNative(NativeConfig{Kind: c.kind, Variant: Atomic, Procs: 1, Requests: c.reqs, Traffic: c.tr}); err == nil {
 			t.Errorf("native: %s accepted", c.name)
 		}
+	}
+	// Counters pack no window, so only the limiter's streams are bounded
+	// by it.
+	if err := (TrafficConfig{WindowLen: 1}).Normalized().check(Counter, 1<<24+1, 1<<24+1); err != nil {
+		t.Errorf("counter stream past the window bound: %v", err)
+	}
+	// Just inside the total bound (255 increments of up to 2^40 on one
+	// key) the wait-free counter, tagged on native, applies every
+	// request without a panic.
+	cres, err := RunNative(NativeConfig{Kind: Counter, Variant: WaitFree, Procs: 1, Requests: 255,
+		Traffic: TrafficConfig{Keys: 1, MaxDelta: 1 << 40}})
+	if err != nil {
+		t.Fatalf("counter at the total bound: %v", err)
+	}
+	if cres.Applied != 255 {
+		t.Errorf("counter at the total bound applied %d of 255 requests", cres.Applied)
 	}
 	// At the bound itself the last window and the largest Budget pack
 	// into a word the tagged CCAS holds (48 logical bits): the wait-free

@@ -62,7 +62,7 @@ func (c *SimConfig) normalize() error {
 		return fmt.Errorf("service: sim sizing out of range (P=%d requests=%d burst=%d)",
 			c.Processors, c.Requests, c.BurstRequests)
 	}
-	return c.Traffic.check(max(c.Requests, c.BurstRequests))
+	return c.Traffic.check(c.Kind, max(c.Requests, c.BurstRequests), c.Processors*(c.Requests+c.BurstRequests))
 }
 
 // SimResult is the measured outcome of one simulator-backed run.

@@ -3,6 +3,8 @@ package service
 import (
 	"fmt"
 	"math/rand"
+
+	"repro/internal/prim"
 )
 
 // The keyed traffic generator. Requests are a pure function of
@@ -57,15 +59,25 @@ func (c TrafficConfig) Normalized() TrafficConfig {
 	return c
 }
 
-// check rejects a normalized config the generator cannot serve for
-// streams of up to n requests: a non-positive MaxDelta or WindowLen, or
-// so many windows that Req.Window reaches its 1<<16 bound.
-func (c TrafficConfig) check(n int) error {
+// counterMax is the largest counter total every store holds: the tagged
+// CCAS, which the wait-free stores use off the simulator, keeps 48
+// logical bits.
+var counterMax = prim.Tagged().MaxLogical()
+
+// check rejects a normalized config the generator cannot serve for kind
+// k, in streams of at most longest requests and total requests in all:
+// a non-positive MaxDelta or WindowLen; for a limiter, so many windows
+// that Req.Window reaches its 1<<16 bound; for a counter, a MaxDelta
+// whose total over every request could pass counterMax on one key.
+func (c TrafficConfig) check(k Kind, longest, total int) error {
 	if c.MaxDelta < 1 || c.WindowLen < 1 {
 		return fmt.Errorf("service: traffic MaxDelta %d and WindowLen %d must be positive", c.MaxDelta, c.WindowLen)
 	}
-	if (n-1)/c.WindowLen >= 1<<16 {
-		return fmt.Errorf("service: %d requests at WindowLen %d pass the 1<<16 window bound", n, c.WindowLen)
+	if k == Limiter && (longest-1)/c.WindowLen >= 1<<16 {
+		return fmt.Errorf("service: %d requests at WindowLen %d pass the limiter's 1<<16 window bound", longest, c.WindowLen)
+	}
+	if k == Counter && uint64(c.MaxDelta) > counterMax/uint64(total) {
+		return fmt.Errorf("service: %d requests of up to %d each could pass the counter bound %#x", total, c.MaxDelta, counterMax)
 	}
 	return nil
 }
