@@ -111,10 +111,10 @@ cmp artifacts/wfcheck_cover_serial.txt artifacts/wfcheck_cover_par.txt
 grep -q "cover" artifacts/wfcheck_cover_serial.txt
 grep -q "curve" artifacts/wfcheck_cover_serial.txt
 
-# Byte-identity goldens, pinned before the simulator fast path (run-ahead
-# slice batching, heap ready queues, Sim pooling, zero-alloc tracing)
-# landed: the optimized core must not change one observable byte of the
-# sweep output, the wftrace text rendering, or the run reports.
+# Byte-identity goldens, pinned before the simulator fast path (heap ready
+# queues, Sim pooling, zero-alloc tracing, direct hand-off) landed: the
+# optimized core must not change one observable byte of the sweep output,
+# the wftrace text rendering, or the run reports.
 cmp testdata/golden/wfcheck_max40.txt artifacts/wfcheck_serial.txt
 go run ./cmd/wftrace -object unilist -seed 1 -pattern stagger > artifacts/wftrace_unilist_stagger.txt
 cmp testdata/golden/wftrace_unilist_stagger.txt artifacts/wftrace_unilist_stagger.txt
@@ -221,12 +221,6 @@ cmp artifacts/wfcheck_swarm.txt artifacts/wfcheck_swarm_par.txt
 grep -q "curve" artifacts/wfcheck_swarm.txt
 grep -q "schedules total" artifacts/wfcheck_swarm.txt
 
-# Run-ahead fast-path regression guard: batching must be armed under every
-# policy on an uncontended dispatch, and refused under the preemptive ones
-# (priority, age-slo, reverse-priority) while a waiting job that preempts
-# the runner is held off only by an open NoPreempt window.
-go test ./internal/sched/ -run TestRunAheadPolicyGate -count=1
-
 # Native allocation gate: every core object's Begin/Apply/End hot path on
 # real goroutines must allocate nothing (the Figure 8 window is one
 # Ctx.GuardedCAS call, not a closure).
@@ -237,13 +231,13 @@ go test ./internal/registry/ -run TestNativeAllocGate -count=1
 # layout (stride == width, same addresses) on the simulator.
 go test ./internal/registry/ -run TestRowLayout -count=1
 
-# Perf gates: -exp core re-measures the serial and run-ahead simulator
-# core (asserting the two modes still agree exactly) and fails if the
-# exact dispatch counters (coroutine switches and scheduling decisions
-# per slice, one-CPU loop and two-CPU duet, both modes) differ from the
-# committed baseline, or if run-ahead ns/slice regresses more than 25%
-# against it. Set WF_SKIP_PERF_GATE=1 on hosts too noisy for timing
-# assertions (it skips both gates).
+# Perf gates: -exp core re-measures the simulator core, where every slice
+# ends in a scheduling decision, on a one-CPU loop and a two-CPU duet. It
+# fails if either side's exact dispatch counters (coroutine switches and
+# scheduling decisions per slice) differ from the committed baseline, if
+# the loop allocates 0.01 or more per slice, or if the loop's ns/slice
+# regresses more than 25% against the baseline. Set WF_SKIP_PERF_GATE=1 on
+# hosts too noisy for timing assertions (it skips all three gates).
 if [ -z "${WF_SKIP_PERF_GATE:-}" ]; then
     go run ./cmd/wfbench -exp core -outdir artifacts -corebaseline testdata/BENCH_core.json
 fi

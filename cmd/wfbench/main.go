@@ -72,7 +72,7 @@ func main() {
 	seed := flag.Int64("seed", 11, "random seed")
 	sweepSeeds := flag.Int("sweepseeds", 3, "seeds per cell for the -exp sweep matrix")
 	outdir := flag.String("outdir", ".", "directory for the BENCH_<object>.json run reports")
-	coreBaseline := flag.String("corebaseline", "", "with -exp core: committed BENCH_core.json to gate ns/slice regressions against")
+	coreBaseline := flag.String("corebaseline", "", "with -exp core: committed BENCH_core.json to gate dispatch counts, allocations and ns/slice against")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	blockprofile := flag.String("blockprofile", "", "write a block (contention) profile to this file on exit")

@@ -130,7 +130,7 @@ type execFunc func(e shmem.Ctx, v shmem.Addr, ver uint64, x shmem.Addr, old, val
 
 // chainSim builds, but does not run, the FuzzCCASChain cast for data (at
 // least 3 bytes) on a one-processor simulation; cfg supplies the optional
-// knobs (tracing, run-ahead). Every CCAS goes through exec; impl supplies
+// knobs (tracing). Every CCAS goes through exec; impl supplies
 // the rest of the word discipline. x is the shared word; wins[p] counts
 // process p's successful CCASes once the run finishes.
 func chainSim(impl Impl, exec execFunc, data []byte, cfg sched.Config) (s *sched.Sim, x shmem.Addr, wins []uint64) {

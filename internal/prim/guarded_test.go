@@ -78,10 +78,8 @@ func chainCorpus(t *testing.T) [][]byte {
 
 // chainFingerprint runs the chain cast traced and renders its full event
 // log, its metrics.Report and the final shared word.
-func chainFingerprint(t *testing.T, impl Impl, exec execFunc, data []byte, serial bool) string {
+func chainFingerprint(t *testing.T, impl Impl, exec execFunc, data []byte) string {
 	t.Helper()
-	sched.SetRunAhead(!serial)
-	defer sched.SetRunAhead(true)
 	s, x, wins := chainSim(impl, exec, data, sched.Config{EnableTrace: true})
 	if err := s.Run(); err != nil {
 		t.Fatalf("%s: Run: %v", impl.Name(), err)
@@ -101,10 +99,10 @@ func chainFingerprint(t *testing.T, impl Impl, exec execFunc, data []byte, seria
 
 // TestGuardedCASMatchesClosure: on the simulator, Exec through GuardedCAS
 // and the closure-under-NoPreempt reference produce byte-identical event
-// logs and run reports for both software constructions, in run-ahead and
-// serial mode, over the FuzzCCASChain seed corpus plus a sweep of the
-// highest-priority process's release time — the sweep is what lands an
-// arrival inside the window, so an unmasked window diverges.
+// logs and run reports for both software constructions, over the
+// FuzzCCASChain seed corpus plus a sweep of the highest-priority process's
+// release time — the sweep is what lands an arrival inside the window, so
+// an unmasked window diverges.
 func TestGuardedCASMatchesClosure(t *testing.T) {
 	impls := []Impl{Tagged(), Delayed(2)}
 	inputs := chainCorpus(t)
@@ -115,13 +113,11 @@ func TestGuardedCASMatchesClosure(t *testing.T) {
 	}
 	for i, data := range inputs {
 		for _, impl := range impls {
-			for _, serial := range []bool{false, true} {
-				got := chainFingerprint(t, impl, impl.Exec, data, serial)
-				want := chainFingerprint(t, impl, closureExec(impl), data, serial)
-				if got != want {
-					t.Errorf("input %d %s serial=%v: GuardedCAS diverged from the closure form:\n--- closure ---\n%s\n--- guarded ---\n%s",
-						i, impl.Name(), serial, want, got)
-				}
+			got := chainFingerprint(t, impl, impl.Exec, data)
+			want := chainFingerprint(t, impl, closureExec(impl), data)
+			if got != want {
+				t.Errorf("input %d %s: GuardedCAS diverged from the closure form:\n--- closure ---\n%s\n--- guarded ---\n%s",
+					i, impl.Name(), want, got)
 			}
 		}
 	}

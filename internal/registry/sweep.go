@@ -13,8 +13,8 @@ package registry
 // — op scripts, the policy and arrival trace, the cast, and the pooled
 // simulation itself — is constructed once per sweep and reused across every
 // schedule (see sweeper). Per schedule only the object instance is rebuilt,
-// the release vector patched in and the cast respawned, which is what lets
-// sweeps run at the simulator core's run-ahead speed.
+// the release vector patched in and the cast respawned, so a schedule costs
+// little more than its simulated slices.
 
 import (
 	"fmt"

@@ -20,8 +20,8 @@ import (
 type Env struct {
 	sim *Sim
 	p   *Proc
-	// cpu is the process's processor state, cached at Spawn so the yield
-	// fast path and Now avoid the indexing round trip.
+	// cpu is the process's processor state, cached at Spawn so conclude and
+	// Now avoid the indexing round trip.
 	cpu *cpuState
 
 	// pending is the virtual-time cost accumulated since the last yield.
@@ -31,16 +31,6 @@ type Env struct {
 	// goroutine switch. It is set while a job body runs and returns false
 	// when the coroutine is being unwound.
 	yield func(yieldMsg) bool
-	// budget and horizon arm the run-ahead fast path (Sim.grantRunAhead):
-	// while budget > 0, yieldNow may conclude a slice locally — advancing
-	// the processor clock and the slice counters without a scheduling
-	// decision — as long as the new clock stays strictly below horizon.
-	// Both are written by the decision that dispatches this process and
-	// read/written by the coroutine afterwards; only the goroutine holding
-	// control touches them, and the coroutines' strict resume/yield
-	// rendezvous orders those accesses.
-	budget  int64
-	horizon int64
 	// noPreempt > 0 suppresses preemption on this processor (Figure 8(b)
 	// "executed without preemption"); preemption points still yield so
 	// other processors can interleave, but this processor's scheduler
@@ -83,22 +73,6 @@ func (e *Env) yieldNow() {
 	s := e.sim
 	if s.aborting {
 		panic(errAborted)
-	}
-	if e.budget > 0 {
-		// Run-ahead fast path: the last decision granted this process a
-		// batch of slices (grantRunAhead). Conclude the slice locally —
-		// same clock advance, same slice accounting, no decision — while
-		// the clock stays strictly below the event horizon. Nothing else
-		// runs during the batch, so these writes to shared simulator state
-		// are exclusive.
-		if nc := e.cpu.clock + e.pending; nc < e.horizon {
-			e.budget--
-			e.cpu.clock = nc
-			e.pending = 0
-			s.slices++
-			e.p.Slices++
-			return
-		}
 	}
 	msg := yieldMsg{kind: yieldPoint, cost: e.pending}
 	e.pending = 0

@@ -44,12 +44,6 @@ type JobInfo struct {
 // order-isomorphic to the paper's strict-priority discipline under a
 // relabelling of priorities, so the wait-freedom bounds carry over; see
 // DESIGN.md §13 for what the bounds mean under the others.
-//
-// The run-ahead fast path (Sim.grantRunAhead) is armed under every policy
-// and relies on this static-key contract: no key changes while a batch
-// runs, and the grant's one refusal (a waiting job that Preempts the runner
-// behind an open NoPreempt window) is decided by Preempts alone. A key
-// that moved with time or another job's progress would void it.
 type Policy interface {
 	// Name is the flag-facing identifier (wfcheck/wfbench/wftrace -policy).
 	Name() string

@@ -31,7 +31,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"math"
 	"math/rand"
 	"runtime/debug"
 	"sync"
@@ -97,9 +96,7 @@ type Config struct {
 	// EnableTrace records scheduling events and algorithm annotations.
 	EnableTrace bool
 	// Policy is the scheduling discipline; nil means DefaultPolicy (the
-	// paper's strict-priority model). The run-ahead fast path is armed for
-	// every policy: it relies only on the static-key contract (see Policy
-	// and DESIGN.md §13).
+	// paper's strict-priority model).
 	Policy Policy
 }
 
@@ -450,19 +447,6 @@ func Release(s *Sim) {
 	simPool.Put(s)
 }
 
-// runAheadEnabled globally gates the run-ahead fast path (see
-// grantRunAhead). It exists so benchmarks and differential tests can compare
-// the serial path (every slice ends in a scheduling decision: the same
-// coroutine with a zero grant) and the batched one without plumbing a Config
-// flag through every call site; both paths produce byte-identical runs. It
-// must only be toggled while no simulation is running.
-var runAheadEnabled = true
-
-// SetRunAhead enables or disables the run-ahead fast path process-wide.
-// For benchmarking and differential testing only; the schedule, trace, and
-// report of every run are identical in both modes.
-func SetRunAhead(enabled bool) { runAheadEnabled = enabled }
-
 // Mem returns the simulation's shared memory, for setup code and checkers.
 func (s *Sim) Mem() *shmem.Mem { return s.mem }
 
@@ -494,8 +478,8 @@ func (s *Sim) Slices() uint64 { return s.slices }
 // goroutine switches: one into the process, one back out of it.
 func (s *Sim) Resumes() uint64 { return s.resumes }
 
-// Decisions returns the number of scheduling decisions made so far: slices
-// that a run-ahead grant concluded locally need none.
+// Decisions returns the number of scheduling decisions made so far: one per
+// slice, since every slice ends in one.
 func (s *Sim) Decisions() uint64 { return s.decisions }
 
 // Policy returns the run's scheduling discipline (never nil).
@@ -688,12 +672,12 @@ func (s *Sim) pick(c *cpuState) *Proc {
 
 // startIfNeeded launches the coroutine on first dispatch. iter.Pull hands
 // control between coroutines with a direct goroutine switch, the dominant
-// per-slice cost on contended multiprocessor runs, where the clock-crossing
-// horizon forbids any batching grant. Any goroutine that holds control may
-// resume the coroutine: Run for the first slice, afterwards whichever
-// process made the decision (Env.handOff). A recycled Proc's coroutine is
-// still parked in its coloop from the previous schedule and resumes into the
-// new body directly.
+// per-slice cost on contended multiprocessor runs, where the min-clock
+// interleaving changes processors every slice. Any goroutine that holds
+// control may resume the coroutine: Run for the first slice, afterwards
+// whichever process made the decision (Env.handOff). A recycled Proc's
+// coroutine is still parked in its coloop from the previous schedule and
+// resumes into the new body directly.
 func (s *Sim) startIfNeeded(p *Proc) {
 	if p.started {
 		return
@@ -772,21 +756,6 @@ func (s *Sim) resume(p *Proc) yieldMsg {
 func (s *Sim) conclude(p *Proc, msg yieldMsg) {
 	c := p.env.cpu
 	s.mem.SetCurrentProc(-1)
-	if p.env.horizon > 0 {
-		// The slice ran with a run-ahead grant, so the coroutine may have
-		// concluded slices locally without the serial loop's per-boundary
-		// idle-clock sync. Those syncs only ever raise idle clocks to the
-		// running processor's clock, so applying the last boundary value —
-		// c.clock right now, before this slice's closing cost — leaves
-		// every idle clock exactly where slice-by-slice execution would
-		// have. Without this, a quiescence-released slice-triggered job
-		// would observe a stale idle clock.
-		for _, idle := range s.idle {
-			if idle.clock < c.clock {
-				idle.clock = c.clock
-			}
-		}
-	}
 	switch msg.kind {
 	case yieldPoint:
 		c.clock += msg.cost
@@ -844,10 +813,10 @@ func (s *Sim) Run() error {
 
 // step makes the next scheduling decision: it delivers due arrivals, picks
 // the busy processor with the smallest clock and the process to run there,
-// dispatches it, arms its run-ahead grant, and prepares its slice. It
-// returns nil once the run is over (a failure, or no work left). step runs
-// on whichever goroutine holds control — Run's or a process's coroutine —
-// and decides identically on each.
+// dispatches it, and prepares its slice. It returns nil once the run is over
+// (a failure, or no work left). step runs on whichever goroutine holds
+// control — Run's or a process's coroutine — and decides identically on
+// each.
 func (s *Sim) step() *Proc {
 	for s.failure == nil {
 		if len(s.pendingSlice) > 0 {
@@ -916,7 +885,6 @@ func (s *Sim) step() *Proc {
 			p.Dispatches++
 			s.emit(trace.KindDispatch, c.id, p, "")
 		}
-		s.grantRunAhead(c, p)
 		s.decisions++
 		s.startIfNeeded(p)
 		p.Slices++
@@ -939,71 +907,6 @@ func (s *Sim) rebuildOccupancy() {
 		}
 	}
 	s.occDirty = false
-}
-
-// grantRunAhead decides how far p may run ahead of the scheduler before the
-// next event that could change the schedule, and arms (or disarms) the
-// coroutine's yield fast path accordingly.
-//
-// The grant is sound — the batched run is byte-identical to slice-by-slice
-// execution (DESIGN.md §10) — because nothing observable can happen below
-// the granted horizon/budget:
-//
-//   - budget: at most min over pending slice-triggered jobs of
-//     (AfterSlices − slices − 1) fast yields may run, so the batch hands
-//     back no later than the slice boundary at which the next
-//     slice-triggered release fires; the watchdog term (MaxSteps − slices)
-//     likewise makes the batch hand back at the exact slice the watchdog
-//     would have fired on.
-//   - horizon: the batch stops at the first slice boundary ≥ the earliest
-//     time-triggered arrival that can actually fire (one targeting c or an
-//     idle processor; arrivals on other busy processors cannot fire because
-//     those clocks are frozen while c runs), and ≥ the clock of any other
-//     busy processor (beyond it, c might no longer be the min-clock choice).
-//     Both are strict-< continuations: at equality the coroutine hands back
-//     and the scheduler re-decides, exactly like the serial loop.
-//   - the ready set of c cannot change during the batch (no arrivals below
-//     the horizon/budget) and keys are static (Policy), so pick decides as
-//     it did at every boundary — unless a waiting process that Preempts p
-//     is held off by an open NoPreempt section, which may lapse at any
-//     slice boundary: the grant is refused then. None of this uses the
-//     priority order, so the grant is sound under every policy.
-func (s *Sim) grantRunAhead(c *cpuState, p *Proc) {
-	e := p.env
-	e.budget, e.horizon = 0, 0
-	if !runAheadEnabled {
-		return
-	}
-	if len(c.ready) > 0 && s.policy.Preempts(c.ready[0].key, p.key) {
-		return
-	}
-	b := int64(s.cfg.MaxSteps) - int64(s.slices)
-	for _, q := range s.pendingSlice {
-		if d := q.spec.AfterSlices - int64(s.slices) - 1; d < b {
-			b = d
-		}
-	}
-	if b <= 0 {
-		return
-	}
-	horizon := int64(math.MaxInt64)
-	for _, q := range s.pendingTime {
-		qc := s.cpus[q.spec.CPU]
-		if qc == c || (qc.current == nil && len(qc.ready) == 0) {
-			if q.spec.At < horizon {
-				horizon = q.spec.At
-			}
-		}
-	}
-	for _, o := range s.busy {
-		if o != c && o.clock < horizon {
-			horizon = o.clock
-		}
-	}
-	if horizon <= c.clock {
-		return
-	}
-	e.budget, e.horizon = b, horizon
 }
 
 // jumpToNextArrival advances an idle system to its earliest time arrival.
