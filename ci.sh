@@ -38,6 +38,11 @@ go build -gcflags=-m ./internal/native 2>&1 | grep -q 'can inline (\*Proc).point
 # Every hop of a validated read is one managed-word Read, a load and a mask:
 # it must inline into the objects, or each hop pays a call before its load.
 go build -gcflags=-m ./internal/prim 2>&1 | grep -q 'can inline Impl.Read'
+# Every simulated access is a preemption point: Mem.Load must stay cheap
+# enough to inline, or each Load pays a call on top of its decision.
+go build -gcflags=-m ./internal/shmem 2>&1 | grep -q 'can inline (\*Mem).Load'
+# ...and the simulator's one Load path must actually inline it.
+go build -gcflags=-m ./internal/sched 2>&1 | grep -q 'inlining call to shmem.(\*Mem).Load'
 go test -race -short -run Native ./internal/registry/
 
 # Service subsystem: hot-key counter and token-bucket limiter, all four
@@ -233,10 +238,9 @@ go test ./internal/registry/ -run TestRowLayout -count=1
 
 # Perf gates: -exp core re-measures the simulator core, where every slice
 # ends in a scheduling decision, on a one-CPU loop and a two-CPU duet. It
-# fails if either side's exact dispatch counters (coroutine switches and
-# scheduling decisions per slice) differ from the committed baseline, if
-# the loop allocates 0.01 or more per slice, or if the loop's ns/slice
-# regresses more than 25% against the baseline. Set WF_SKIP_PERF_GATE=1 on
+# fails if either side's exact coroutine switch count differs from the
+# committed baseline, if the loop allocates 0.01 or more per slice, or if
+# the loop's ns/slice regresses more than 25% against the baseline. Set WF_SKIP_PERF_GATE=1 on
 # hosts too noisy for timing assertions (it skips all three gates).
 if [ -z "${WF_SKIP_PERF_GATE:-}" ]; then
     go run ./cmd/wfbench -exp core -outdir artifacts -corebaseline testdata/BENCH_core.json

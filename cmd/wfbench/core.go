@@ -13,16 +13,16 @@ package main
 //     interleaving alternates the processors every slice, so each slice
 //     hands the processor to the other process.
 //
-// Each side also records two exact dispatch counters: coroutine switches
-// per slice (two per resume: into the process and back out) and scheduling
-// decisions per slice. A process that keeps the processor continues with
+// Each side also records an exact dispatch counter: coroutine switches per
+// slice (two per resume: into the process and back out). Every slice ends in
+// one scheduling decision. A process that keeps the processor continues with
 // no switch, and a hand-off to another process costs one, so the loop
 // switches only to start and to finish, and the duet switches once per
-// slice. The counters are deterministic, so they are the gate: an extra
-// round trip per slice shows as two more switches per slice.
+// slice. The counter is deterministic, so it is the gate: an extra round
+// trip per slice shows as two more switches per slice.
 //
 // Results go to <outdir>/BENCH_core.json, and -corebaseline gates the run
-// against a committed baseline: the dispatch counters exactly, the loop's
+// against a committed baseline: the switch counts exactly, the loop's
 // allocations below coreAllocLimit per slice, and its ns/slice within a
 // 25% slack. The core-object sweep is timed by -exp sweep.
 
@@ -42,18 +42,16 @@ import (
 // microbenchmark executes per run.
 const coreMicroOps = 200_000
 
-// coreSide holds one microbenchmark's numbers. Switches and Decisions are
-// the exact dispatch counters (sched.Sim.Resumes × 2, Decisions).
+// coreSide holds one microbenchmark's numbers. Switches is the exact
+// dispatch counter (sched.Sim.Resumes × 2).
 type coreSide struct {
-	NsPerSlice        float64 `json:"ns_per_slice"`
-	SlicesPerSec      float64 `json:"slices_per_sec"`
-	AllocsPerSlice    float64 `json:"allocs_per_slice"`
-	Slices            uint64  `json:"slices"`
-	ElapsedVT         int64   `json:"elapsed_vt"`
-	Switches          uint64  `json:"switches"`
-	Decisions         uint64  `json:"decisions"`
-	SwitchesPerSlice  float64 `json:"switches_per_slice"`
-	DecisionsPerSlice float64 `json:"decisions_per_slice"`
+	NsPerSlice       float64 `json:"ns_per_slice"`
+	SlicesPerSec     float64 `json:"slices_per_sec"`
+	AllocsPerSlice   float64 `json:"allocs_per_slice"`
+	Slices           uint64  `json:"slices"`
+	ElapsedVT        int64   `json:"elapsed_vt"`
+	Switches         uint64  `json:"switches"`
+	SwitchesPerSlice float64 `json:"switches_per_slice"`
 }
 
 // coreDoc is the BENCH_core.json schema: Loop is the one-CPU
@@ -92,15 +90,13 @@ func coreMicroRun(cpus int) coreSide {
 	slices := s.Slices()
 	switches := 2 * s.Resumes()
 	return coreSide{
-		NsPerSlice:        float64(wall.Nanoseconds()) / float64(slices),
-		SlicesPerSec:      float64(slices) / wall.Seconds(),
-		AllocsPerSlice:    float64(after.Mallocs-before.Mallocs) / float64(slices),
-		Slices:            slices,
-		ElapsedVT:         s.Elapsed(),
-		Switches:          switches,
-		Decisions:         s.Decisions(),
-		SwitchesPerSlice:  float64(switches) / float64(slices),
-		DecisionsPerSlice: float64(s.Decisions()) / float64(slices),
+		NsPerSlice:       float64(wall.Nanoseconds()) / float64(slices),
+		SlicesPerSec:     float64(slices) / wall.Seconds(),
+		AllocsPerSlice:   float64(after.Mallocs-before.Mallocs) / float64(slices),
+		Slices:           slices,
+		ElapsedVT:        s.Elapsed(),
+		Switches:         switches,
+		SwitchesPerSlice: float64(switches) / float64(slices),
 	}
 }
 
@@ -139,7 +135,6 @@ func coreBench(outdir, baselinePath string) error {
 		{"slices/sec", fmt.Sprintf("%.0f", doc.Loop.SlicesPerSec), fmt.Sprintf("%.0f", doc.Duet.SlicesPerSec)},
 		{"allocs/slice", fmt.Sprintf("%.6f", doc.Loop.AllocsPerSlice), fmt.Sprintf("%.6f", doc.Duet.AllocsPerSlice)},
 		{"switches/slice", fmt.Sprintf("%.6f", doc.Loop.SwitchesPerSlice), fmt.Sprintf("%.6f", doc.Duet.SwitchesPerSlice)},
-		{"decisions/slice", fmt.Sprintf("%.6f", doc.Loop.DecisionsPerSlice), fmt.Sprintf("%.6f", doc.Duet.DecisionsPerSlice)},
 	}
 	table("Simulator core — one-CPU loop and two-CPU duet",
 		[]string{"bench", "loop", "duet"}, rows)
@@ -163,7 +158,7 @@ const coreGateSlack = 1.25
 const coreAllocLimit = 0.01
 
 // coreGate compares the fresh run against the committed baseline document:
-// both sides' dispatch counters must match exactly, the loop must allocate
+// both sides' switch counts must match exactly, the loop must allocate
 // less than coreAllocLimit per slice, and its ns/slice must stay within
 // coreGateSlack. ci.sh skips the whole -exp core invocation under
 // WF_SKIP_PERF_GATE, which covers every gate.
@@ -184,16 +179,15 @@ func coreGate(baselinePath string, doc coreDoc) error {
 		{"duet", doc.Duet, base.Duet},
 	}
 	for _, sd := range sides {
-		if sd.want.Decisions == 0 {
-			return fmt.Errorf("core baseline %s: %s side has no dispatch counters", baselinePath, sd.name)
+		if sd.want.Switches == 0 {
+			return fmt.Errorf("core baseline %s: %s side has no switch count", baselinePath, sd.name)
 		}
-		if sd.got.Switches != sd.want.Switches || sd.got.Decisions != sd.want.Decisions {
-			return fmt.Errorf("core dispatch gate: %s switches/slice %.6f, decisions/slice %.6f (counts %d, %d); baseline %.6f, %.6f (counts %d, %d)",
-				sd.name, sd.got.SwitchesPerSlice, sd.got.DecisionsPerSlice, sd.got.Switches, sd.got.Decisions,
-				sd.want.SwitchesPerSlice, sd.want.DecisionsPerSlice, sd.want.Switches, sd.want.Decisions)
+		if sd.got.Switches != sd.want.Switches {
+			return fmt.Errorf("core dispatch gate: %s switches/slice %.6f (count %d); baseline %.6f (count %d)",
+				sd.name, sd.got.SwitchesPerSlice, sd.got.Switches, sd.want.SwitchesPerSlice, sd.want.Switches)
 		}
 	}
-	fmt.Printf("core dispatch gate: switch and decision counts match the baseline (duet %.4f switches/slice)\n",
+	fmt.Printf("core dispatch gate: switch counts match the baseline (duet %.4f switches/slice)\n",
 		doc.Duet.SwitchesPerSlice)
 	if doc.Loop.AllocsPerSlice >= coreAllocLimit {
 		return fmt.Errorf("core alloc gate: loop allocates %.4f per slice (%d slices), limit %.2f",

@@ -36,30 +36,37 @@ type Env struct {
 	// other processors can interleave, but this processor's scheduler
 	// sticks to the current process.
 	noPreempt int
-	// sliceOps counts non-yielding operations since the last preemption
-	// point (Coarse granularity slice bounding).
+	// sliceOps counts operations since the last preemption point; the
+	// slice ends when it reaches limit (see coarseSliceOps).
 	sliceOps int
+	limit    int
 	// rng is lazily created per process for workload decisions inside
 	// bodies; deterministic from the run seed and process id.
 	rng *rand.Rand
 }
 
 // point charges cost units and yields if this operation is a preemption
-// point under the configured granularity. Coarse granularity still bounds
-// slice length (coarseSliceOps): long scans made only of plain loads must
-// remain interruptible and interleavable across processors, otherwise whole
-// list traversals would execute atomically and contention would vanish.
+// point under the configured granularity: always for a synchronizing
+// operation, otherwise once the slice holds limit operations.
 func (e *Env) point(cost int64, sync bool) {
 	e.pending += cost
 	e.sliceOps++
-	if e.sim.cfg.Granularity == Fine || sync || e.sliceOps >= coarseSliceOps {
+	if sync || e.sliceOps >= e.limit {
 		e.sliceOps = 0
 		e.yieldNow()
 	}
 }
 
 // coarseSliceOps is the maximum number of non-synchronizing memory
-// operations between preemption points under Coarse granularity.
+// operations between preemption points under Coarse granularity. Coarse
+// granularity still bounds slice length: long scans made only of plain
+// loads must remain interruptible and interleavable across processors,
+// otherwise whole list traversals would execute atomically and contention
+// would vanish.
+//
+// Env.limit holds the bound a process's slices run to, set once at Spawn
+// from the configured granularity: 1 under Fine, where every operation is
+// a preemption point, and coarseSliceOps under Coarse.
 const coarseSliceOps = 32
 
 // yieldNow ends this process's slice at a preemption point and blocks until

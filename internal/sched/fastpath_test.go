@@ -178,14 +178,15 @@ func runSliceBySlice(s *Sim) error {
 }
 
 // differential runs the scenario through Run and through runSliceBySlice
-// and fails unless the fingerprints and decision counts match byte for
-// byte. The two paths differ only in which goroutine takes each decision.
+// and fails unless the fingerprints (slice counts included, one decision
+// per slice) match byte for byte. The two paths differ only in which
+// goroutine takes each decision.
 func differential(t *testing.T, build func(extra Config) *Sim, extra Config) {
 	t.Helper()
 	run := build(extra)
-	runFP := fingerprint(run, run.Run()) + fmt.Sprintf("decisions=%d\n", run.Decisions())
+	runFP := fingerprint(run, run.Run())
 	ref := build(extra)
-	refFP := fingerprint(ref, runSliceBySlice(ref)) + fmt.Sprintf("decisions=%d\n", ref.Decisions())
+	refFP := fingerprint(ref, runSliceBySlice(ref))
 	if runFP != refFP {
 		t.Errorf("Run diverged from the slice-by-slice loop:\n--- Run ---\n%s--- slice by slice ---\n%s", runFP, refFP)
 	}

@@ -275,14 +275,13 @@ type Sim struct {
 	slices    uint64
 	enqueueNo int
 	// resumes counts coroutine resumes (each is two goroutine switches:
-	// into the process and, later, back out of it) and decisions counts
-	// scheduling decisions (Sim.step picks); both are exact, so the core
-	// benchmark gates on them.
-	resumes   uint64
-	decisions uint64
-	ran       bool
-	aborting  bool
-	failure   error
+	// into the process and, later, back out of it); it is exact, so the
+	// core benchmark gates on it. Every slice ends in one scheduling
+	// decision, so slices also counts the decisions.
+	resumes  uint64
+	ran      bool
+	aborting bool
+	failure  error
 
 	// policy is the run's scheduling discipline (never nil after Reset);
 	// policyDefault caches whether it is the strict-priority default (the
@@ -380,7 +379,6 @@ func (s *Sim) Reset(cfg Config) *Sim {
 	s.slices = 0
 	s.enqueueNo = 0
 	s.resumes = 0
-	s.decisions = 0
 	s.ran = false
 	s.aborting = false
 	s.failure = nil
@@ -478,10 +476,6 @@ func (s *Sim) Slices() uint64 { return s.slices }
 // goroutine switches: one into the process, one back out of it.
 func (s *Sim) Resumes() uint64 { return s.resumes }
 
-// Decisions returns the number of scheduling decisions made so far: one per
-// slice, since every slice ends in one.
-func (s *Sim) Decisions() uint64 { return s.decisions }
-
 // Policy returns the run's scheduling discipline (never nil).
 func (s *Sim) Policy() Policy { return s.policy }
 
@@ -520,7 +514,11 @@ func (s *Sim) Spawn(spec JobSpec) *Proc {
 	if p.spec.Slot < 0 {
 		p.spec.Slot = p.id
 	}
-	*p.env = Env{sim: s, p: p, cpu: s.cpus[spec.CPU]}
+	limit := coarseSliceOps
+	if s.cfg.Granularity == Fine {
+		limit = 1
+	}
+	*p.env = Env{sim: s, p: p, cpu: s.cpus[spec.CPU], limit: limit}
 	s.proc = append(s.proc, p)
 	if spec.AfterSlices >= 0 && spec.At == 0 {
 		// Slice-triggered release. (AfterSlices==0 with At==0 releases
@@ -885,7 +883,6 @@ func (s *Sim) step() *Proc {
 			p.Dispatches++
 			s.emit(trace.KindDispatch, c.id, p, "")
 		}
-		s.decisions++
 		s.startIfNeeded(p)
 		p.Slices++
 		s.mem.SetCurrentProc(p.id)

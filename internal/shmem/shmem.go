@@ -139,12 +139,15 @@ type Mem struct {
 	steps     uint64
 
 	// counts tallies operations per process (indexed by process id,
-	// grown on demand); setup tallies operations performed outside any
-	// simulated process (curProc == -1). Counting is pure Go-side
-	// bookkeeping: it charges no simulated time, so instrumented runs
-	// execute the same schedules as uninstrumented ones.
+	// grown at dispatch); setup tallies operations performed outside any
+	// simulated process (curProc == -1). cur points at the current
+	// process's block (SetCurrentProc), so an access bumps its counter
+	// with no lookup. Counting is pure Go-side bookkeeping: it charges no
+	// simulated time, so instrumented runs execute the same schedules as
+	// uninstrumented ones.
 	counts []metrics.OpCounts
 	setup  metrics.OpCounts
+	cur    *metrics.OpCounts
 
 	// curProc is maintained by the scheduler so write events can be
 	// attributed; -1 means "outside any simulated process".
@@ -197,6 +200,7 @@ func (m *Mem) Reset(capacity int) {
 	m.steps = 0
 	m.counts = m.counts[:0]
 	m.setup = metrics.OpCounts{}
+	m.cur = &m.setup
 	m.curProc = -1
 	m.failHook = nil
 	m.lastWriter = nil
@@ -234,9 +238,20 @@ func (m *Mem) fail(a Addr, kind OpKind) {
 	})
 }
 
-// SetCurrentProc records which simulated process is executing; the scheduler
-// calls this on every dispatch. Pass -1 for setup code.
-func (m *Mem) SetCurrentProc(p int) { m.curProc = p }
+// SetCurrentProc records which simulated process is executing and points
+// the operation tally at its counter block; the scheduler calls this on
+// every dispatch. Pass -1 for setup code.
+func (m *Mem) SetCurrentProc(p int) {
+	m.curProc = p
+	if p < 0 {
+		m.cur = &m.setup
+		return
+	}
+	for p >= len(m.counts) {
+		m.counts = append(m.counts, metrics.OpCounts{})
+	}
+	m.cur = &m.counts[p]
+}
 
 // CurrentProc returns the process most recently recorded by SetCurrentProc.
 func (m *Mem) CurrentProc() int { return m.curProc }
@@ -244,17 +259,6 @@ func (m *Mem) CurrentProc() int { return m.curProc }
 // Steps returns the total number of memory operations executed so far
 // (loads included).
 func (m *Mem) Steps() uint64 { return m.steps }
-
-// tally returns the operation-count bucket for the current process.
-func (m *Mem) tally() *metrics.OpCounts {
-	if m.curProc < 0 {
-		return &m.setup
-	}
-	for m.curProc >= len(m.counts) {
-		m.counts = append(m.counts, metrics.OpCounts{})
-	}
-	return &m.counts[m.curProc]
-}
 
 // ProcOpCounts returns the operation tally of process p (zero if p never
 // executed a memory operation).
@@ -342,17 +346,30 @@ func (m *Mem) Name(a Addr) string {
 	return fmt.Sprintf("%s+%d", s.name, int(a-s.base))
 }
 
+// rangeError is the panic value of an access outside the memory. It
+// formats lazily, so the bounds check stays cheap enough for Load to
+// inline into its callers.
+type rangeError struct {
+	a Addr
+	n int
+}
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("shmem: address %d out of range [0,%d)", int(e.a), e.n)
+}
+
+// check panics unless a addresses a word of the memory. The unsigned
+// comparison also catches negative addresses.
 func (m *Mem) check(a Addr) {
-	if a < 0 || int(a) >= len(m.words) {
-		panic(fmt.Sprintf("shmem: address %d out of range [0,%d)", int(a), len(m.words)))
+	if uint(a) >= uint(len(m.words)) {
+		panic(rangeError{a, len(m.words)})
 	}
 }
 
+// notify reports a successful write to the observers. A store of the value
+// a word already holds is still a write: checkers may key on it (e.g.
+// re-arming Status).
 func (m *Mem) notify(a Addr, old, val uint64, kind OpKind) {
-	if old == val && kind == OpStore {
-		// A degenerate store still "happened" for observers: checkers
-		// may key on it (e.g. re-arming Status). Report it.
-	}
 	if a >= m.dirty {
 		m.dirty = a + 1
 	}
@@ -370,7 +387,7 @@ func (m *Mem) notify(a Addr, old, val uint64, kind OpKind) {
 func (m *Mem) Load(a Addr) uint64 {
 	m.check(a)
 	m.steps++
-	m.tally().Loads++
+	m.cur.Loads++
 	return m.words[a]
 }
 
@@ -378,7 +395,7 @@ func (m *Mem) Load(a Addr) uint64 {
 func (m *Mem) Store(a Addr, v uint64) {
 	m.check(a)
 	m.steps++
-	m.tally().Stores++
+	m.cur.Stores++
 	old := m.words[a]
 	m.words[a] = v
 	m.notify(a, old, v, OpStore)
@@ -389,7 +406,7 @@ func (m *Mem) Store(a Addr, v uint64) {
 func (m *Mem) CAS(a Addr, old, val uint64) bool {
 	m.check(a)
 	m.steps++
-	t := m.tally()
+	t := m.cur
 	t.CAS++
 	if m.words[a] != old {
 		t.CASFail++
@@ -411,7 +428,7 @@ func (m *Mem) CAS2(a1, a2 Addr, old1, old2, new1, new2 uint64) bool {
 		panic("shmem: CAS2 on aliased addresses")
 	}
 	m.steps++
-	t := m.tally()
+	t := m.cur
 	t.CAS2++
 	if m.words[a1] != old1 || m.words[a2] != old2 {
 		t.CAS2Fail++
@@ -437,7 +454,7 @@ func (m *Mem) CCAS(v Addr, ver uint64, x Addr, old, val uint64) bool {
 	m.check(v)
 	m.check(x)
 	m.steps++
-	t := m.tally()
+	t := m.cur
 	t.CCAS++
 	if m.words[v] != ver || m.words[x] != old {
 		t.CCASFail++

@@ -2,7 +2,9 @@ package shmem
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -212,12 +214,38 @@ func TestName(t *testing.T) {
 
 func TestOutOfRangePanics(t *testing.T) {
 	m := New(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range Load did not panic")
+	ok := m.MustAlloc("ok", 1)
+	for _, bad := range []Addr{-1, 4, 100} {
+		ops := []struct {
+			name string
+			op   func()
+		}{
+			{"Load", func() { m.Load(bad) }},
+			{"Store", func() { m.Store(bad, 1) }},
+			{"CAS", func() { m.CAS(bad, 0, 1) }},
+			{"CAS2/first", func() { m.CAS2(bad, ok, 0, 0, 1, 1) }},
+			{"CAS2/second", func() { m.CAS2(ok, bad, 0, 0, 1, 1) }},
+			{"CCAS/version", func() { m.CCAS(bad, 0, ok, 0, 1) }},
+			{"CCAS/target", func() { m.CCAS(ok, 0, bad, 0, 1) }},
 		}
-	}()
-	m.Load(100)
+		for _, tc := range ops {
+			r := func() (r any) {
+				defer func() { r = recover() }()
+				tc.op()
+				return nil
+			}()
+			if r == nil {
+				t.Errorf("%s(%d) did not panic", tc.name, bad)
+				continue
+			}
+			if msg := fmt.Sprint(r); !strings.HasPrefix(msg, "shmem: address") {
+				t.Errorf("%s(%d) panicked with %q, want a \"shmem: address\" message", tc.name, bad, msg)
+			}
+		}
+	}
+	if m.Steps() != 0 || m.Peek(ok) != 0 {
+		t.Errorf("rejected accesses left steps=%d ok=%d, want 0, 0", m.Steps(), m.Peek(ok))
+	}
 }
 
 // TestPropertyCASSemantics cross-checks CAS against a model map under random
