@@ -2,9 +2,11 @@ package service
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/sched"
@@ -165,5 +167,44 @@ func TestSimGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("service sim run diverged from golden %s:\n--- got ---\n%s--- want ---\n%s", golden, got, want)
+	}
+}
+
+// TestSimDigests pins every store's simulator run byte-for-byte: the
+// FNV-64a digest of simFingerprint at simCfg's sizes for each kind ×
+// variant × policy × arrival cell. Regenerate with WF_UPDATE_GOLDEN=1.
+func TestSimDigests(t *testing.T) {
+	var got strings.Builder
+	for _, kind := range Kinds() {
+		for _, variant := range Variants() {
+			for _, pol := range sched.PolicyNames() {
+				for _, arr := range []string{"bursty", "stagger", "poisson"} {
+					cfg := simCfg(kind, variant)
+					cfg.Policy, cfg.Arrival = pol, arr
+					res, err := RunSim(cfg)
+					if err != nil {
+						t.Fatalf("%s/%s/%s/%s: %v", kind, variant, pol, arr, err)
+					}
+					h := fnv.New64a()
+					h.Write([]byte(simFingerprint(t, res)))
+					fmt.Fprintf(&got, "%s/%s/%s/%s %016x\n", kind, variant, pol, arr, h.Sum64())
+				}
+			}
+		}
+	}
+	golden := filepath.Join("testdata", "service_sim_digests.golden")
+	if os.Getenv("WF_UPDATE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden updated: %s", golden)
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (run with WF_UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("service sim digests diverged from golden %s:\n--- got ---\n%s--- want ---\n%s", golden, got.String(), want)
 	}
 }
