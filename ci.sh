@@ -50,6 +50,9 @@ go test -race -short -run Native ./internal/registry/
 # conservation oracles (counts never lost or doubled; per-tenant windows
 # never over-admitted).
 go test -race -short ./internal/service/...
+# Every store runs its kind's one transition: it must stay cheap enough to
+# inline, or each request of the wait-free counter pays a call per attempt.
+go build -gcflags=-m ./internal/service 2>&1 | grep -q 'can inline (\*StoreConfig).step'
 
 # Spawn-site guard: drivers declare their runs as registry casts and spawn
 # them through Cast.Spawn. These are the non-test Go files (bench/ aside)
@@ -78,7 +81,8 @@ for m in \
     mut_epoch_after_rv:./internal/core/multilist:TestEpochWindowSweep \
     mut_epoch_winner_only:./internal/core/multilist:TestEpochWindowSweep \
     mut_read_unvalidated:./internal/core/multilist:TestReadRecycleWindow \
-    mut_tag8:./internal/prim:TestTaggedWrapInWindow; do
+    mut_tag8:./internal/prim:TestTaggedWrapInWindow \
+    mut_svc_stale_refill:./internal/service:TestSimAllVariants; do
     tag=${m%%:*}
     rest=${m#*:}
     pkg=${rest%%:*}

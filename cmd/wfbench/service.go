@@ -157,7 +157,8 @@ func nativeServiceEntry(res *service.NativeResult) serviceEntry {
 	return e
 }
 
-// serviceBench runs the full matrix and writes BENCH_service.json.
+// serviceBench runs the full matrix and writes BENCH_service.json; it
+// fails if any per-policy row violates the wait-free bound.
 func serviceBench(outdir string, totalOps, procs int, seed int64) error {
 	kinds, err := serviceKinds(serviceSel)
 	if err != nil {
@@ -220,6 +221,7 @@ func serviceBench(outdir string, totalOps, procs int, seed int64) error {
 	// service-shaped workload): the wait-free variant under every shipped
 	// discipline, with AssertWaitFree checked on each run. Only the
 	// default arrival participates when the user pinned one explicitly.
+	var violated []string
 	for _, pol := range sched.PolicyNames() {
 		for _, kind := range kinds {
 			res, err := service.RunSim(service.SimConfig{
@@ -234,6 +236,7 @@ func serviceBench(outdir string, totalOps, procs int, seed int64) error {
 			wfErr := res.AssertWaitFree()
 			if wfErr != nil {
 				fmt.Fprintf(os.Stderr, "wfbench: service %s/%s: %v\n", pol, kind, wfErr)
+				violated = append(violated, pol+"/"+string(kind))
 			}
 			doc.PolicyTable = append(doc.PolicyTable, servicePolicyRow{
 				Policy: pol, Service: string(kind),
@@ -262,6 +265,9 @@ func serviceBench(outdir string, totalOps, procs int, seed int64) error {
 		return err
 	}
 	fmt.Printf("\nwrote %s\n", path)
+	if len(violated) > 0 {
+		return fmt.Errorf("wait-free bound violated (policy/service): %v", violated)
+	}
 	return nil
 }
 

@@ -222,11 +222,6 @@ func (c *MWCASChecker) EndRead(w readWindow, got uint32) {
 		c.mem.Name(w.addr), got, w.begin, end))
 }
 
-// Shadow returns the current shadow value of a tracked word.
-func (c *MWCASChecker) Shadow(a shmem.Addr) (uint32, error) {
-	return c.hist.current(int(a))
-}
-
 // Err returns the accumulated violations, nil if the run was clean.
 func (c *MWCASChecker) Err() error {
 	if len(c.errs) == 0 {

@@ -512,6 +512,3 @@ func (l *List) checkKey(key uint64) {
 		panic(fmt.Sprintf("multilist: key %#x exceeds CCAS logical capacity", key))
 	}
 }
-
-// ParNodeAddr exposes Par[p].node's address, for checkers and debugging.
-func (l *List) ParNodeAddr(p int) shmem.Addr { return l.parAddr(p, parNode) }

@@ -201,11 +201,6 @@ func (g *Engine) AnnPid(e shmem.Ctx, r int) int {
 	return int(e.Load(g.annPidAddr(r)))
 }
 
-// PeekRv returns the logical Rv[pid] without charging time (checkers).
-func (g *Engine) PeekRv(pid int) uint64 {
-	return g.cfg.CC.Logical(g.mem.Peek(g.RvAddr(pid)))
-}
-
 // Procs returns N.
 func (g *Engine) Procs() int { return g.cfg.Procs }
 

@@ -7,11 +7,11 @@ import (
 	"repro/internal/registry"
 )
 
-// TestNativeApplyAllocFree pins every store variant of both service kinds
+// TestNativeApplyAllocFree pins every store, on both service kinds,
 // allocation-free on the native hot path, so the variant comparisons in
 // BENCH_service.json measure synchronization, not the allocator. The lock
-// variants' critical sections are bound once per slot at NewStore; the
-// waitfree variants ride the allocation-free software CCAS.
+// store's critical sections are bound once per slot at NewStore; the
+// waitfree store rides the allocation-free software CCAS.
 func TestNativeApplyAllocFree(t *testing.T) {
 	if native.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")

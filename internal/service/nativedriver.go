@@ -81,7 +81,7 @@ func RunNative(cfg NativeConfig) (*NativeResult, error) {
 	res := &NativeResult{Cfg: cfg, Report: hr.Report, Elapsed: hr.Elapsed}
 	res.Requests = N * cfg.Requests
 	res.Steps = hr.Counts.Steps()
-	if err := res.finish(cfg.Kind, cfg.Budget, st, tallies); err != nil {
+	if err := res.finish(st, tallies); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -61,11 +61,9 @@ func (t *slotTally) add(kind Kind, req Req, resp Resp) {
 // finish merges the slots' tallies into o, reads the store's quiescent
 // totals and checks the conservation oracle: counter totals equal the
 // sum of applied deltas; limiter totals equal the admitted count and no
-// (tenant, window) exceeds the budget.
-func (o *Outcome) finish(kind Kind, budget int, st Store, tallies []slotTally) error {
-	if budget == 0 {
-		budget = 32
-	}
+// (tenant, window) exceeds the budget the store was built with.
+func (o *Outcome) finish(st Store, tallies []slotTally) error {
+	cfg := st.config()
 	o.Admits = map[TenantWindow]int{}
 	var deltas uint64
 	for i := range tallies {
@@ -85,16 +83,16 @@ func (o *Outcome) finish(kind Kind, budget int, st Store, tallies []slotTally) e
 	for _, t := range o.Totals {
 		total += t
 	}
-	switch kind {
+	switch cfg.Kind {
 	case Counter:
 		if total != deltas {
 			return fmt.Errorf("service: counter conservation violated: totals %d != applied deltas %d", total, deltas)
 		}
 	case Limiter:
 		for tw, n := range o.Admits {
-			if n > budget {
+			if n > cfg.Budget {
 				return fmt.Errorf("service: over-admission: tenant %d window %d admitted %d > budget %d",
-					tw.Tenant, tw.Window, n, budget)
+					tw.Tenant, tw.Window, n, cfg.Budget)
 			}
 		}
 		if total != uint64(o.Admitted) {

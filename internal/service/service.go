@@ -1,13 +1,16 @@
 // Package service composes the paper's wait-free objects into
 // service-shaped infrastructure: a volatile hot-key counter and a
 // token-bucket rate limiter — the admission/quota hot paths of a
-// request-serving system — each available in four interchangeable
-// variants behind one Store interface:
+// request-serving system. Each object is a set of shared words with one
+// transition (add a delta to a key's word; take a token from a tenant's
+// bucket), and four interchangeable stores behind one Store interface
+// each run that transition under their own synchronization strategy
+// (store.go):
 //
-//   - waitfree: the counter/limiter word set lives in a registry-built
-//     multiprocessor MWCAS object (Figure 6), so every state transition
-//     runs through the paper's announce/helping machinery and each
-//     attempt completes in a bounded number of steps;
+//   - waitfree: the word set lives in a registry-built multiprocessor
+//     MWCAS object (Figure 6), so every transition runs through the
+//     paper's announce/helping machinery and each attempt completes in a
+//     bounded number of steps;
 //   - atomic: plain load/CAS retry loops on raw shared words — the
 //     lock-free structure a pragmatic Go programmer writes with
 //     sync/atomic;
@@ -19,7 +22,7 @@
 //     flushed every Batch requests — trading staleness for an order of
 //     magnitude fewer backend calls, the classic serving-stack answer.
 //
-// Every variant is written against shmem.Ctx, so one source runs on both
+// Every store is written against shmem.Ctx, so one source runs on both
 // execution backends: the deterministic simulator (exact step counts,
 // response-time percentiles in virtual time) and native hardware (real
 // goroutines, sync/atomic words, wall-clock latency histograms). The
@@ -85,7 +88,7 @@ type Req struct {
 type Resp struct {
 	// Applied reports that the request changed shared state (an
 	// increment landed; a limiter transition committed). The sharded
-	// variants set it when the local stripe absorbed the request — the
+	// store sets it when the local stripe absorbed the request — the
 	// backing words catch up at the next Flush.
 	Applied bool
 	// Admitted is the limiter verdict (always false for counters).
@@ -108,7 +111,7 @@ type Store interface {
 	// given slot at a time.
 	Apply(e Ctx, slot int, r Req) Resp
 	// Flush drains any process-local batched state (the sharded
-	// variants) into the backing words; a no-op elsewhere. Drivers call
+	// store) into the backing words; a no-op elsewhere. Drivers call
 	// it at the end of each slot's stream so the conservation oracles
 	// see every accepted request.
 	Flush(e Ctx, slot int)
@@ -116,6 +119,8 @@ type Store interface {
 	// counters, per-tenant admitted-request totals for limiters. Only
 	// legal when no Apply/Flush is in flight (setup or post-join).
 	Totals() []uint64
+	// config is the normalized config the store was built with.
+	config() StoreConfig
 }
 
 // Ctx is the execution context stores operate through: the simulator's
@@ -133,9 +138,9 @@ type StoreConfig struct {
 	// Slots is the number of process slots that will Apply (required).
 	Slots int
 	// Budget is the limiter's tokens per tenant per window (default 32).
-	// The sharded limiter splits it across slots' local stripes.
+	// The sharded limiter splits it across the slots' local buckets.
 	Budget int
-	// Batch is the sharded variants' flush interval in requests
+	// Batch is the sharded store's flush interval in requests
 	// (default 8).
 	Batch int
 }
@@ -174,18 +179,29 @@ func NewStore(b registry.Backend, cfg StoreConfig) (Store, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
-	switch cfg.Kind {
-	case Counter:
-		return newCounter(b, cfg)
-	case Limiter:
-		return newLimiter(b, cfg)
+	if cfg.Kind != Counter && cfg.Kind != Limiter {
+		return nil, fmt.Errorf("service: unknown kind %q (have %v)", cfg.Kind, Kinds())
 	}
-	return nil, fmt.Errorf("service: unknown kind %q (have %v)", cfg.Kind, Kinds())
+	switch cfg.Variant {
+	case WaitFree:
+		return newWFStore(b, cfg)
+	case Atomic:
+		words, err := newRawWords(b.Memory(), cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &atomicStore{words}, nil
+	case Lock:
+		return newLockStore(b.Memory(), cfg)
+	case Sharded:
+		return newShardedStore(b.Memory(), cfg)
+	}
+	return nil, fmt.Errorf("service: unknown variant %q (have %v)", cfg.Variant, Variants())
 }
 
 // wfScratch is a per-slot argument buffer for single-word MWCAS calls, so
 // the hot path never allocates (the buffers alias nothing and each slot
-// owns its entry). The waitfree stores write their slot's entry on every
+// owns its entry). The waitfree store writes a slot's entry on every
 // request, so an entry fills a 64-byte cache line: at its 24 data bytes,
 // neighbouring slots would share a line.
 type wfScratch struct {
@@ -195,7 +211,7 @@ type wfScratch struct {
 	_    [64 - 3*8]byte
 }
 
-// wfRetryCap bounds the waitfree variants' transaction retry loops.
+// wfRetryCap bounds the waitfree store's transaction retry loop.
 // Each MWCAS attempt is wait-free (the paper's bound); the
 // read-compute-MWCAS transaction around it retries only when another
 // process committed a conflicting transition in between, so retries are

@@ -176,7 +176,7 @@ func RunSim(cfg SimConfig) (*SimResult, error) {
 	res := &SimResult{Cfg: cfg, Report: rep, ElapsedVT: rep.ElapsedVT}
 	res.Requests = totalReqs
 	res.Steps = rep.Mem.Steps()
-	if err := res.finish(cfg.Kind, cfg.Budget, st, tallies); err != nil {
+	if err := res.finish(st, tallies); err != nil {
 		return nil, err
 	}
 	res.BaseOpTime = metrics.Summarize(slices.Concat(samples[:P]...))
